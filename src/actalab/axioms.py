@@ -15,19 +15,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .act import Act, enumerate_acts
-from .conditions import check_condition
+from .conditions import INTERPOLATION_CLASSES, as_pairs, check_condition
 from .errors import SideMismatchError, ValidationError
-from .monoid import (
-    FiniteMonoid,
-    R_set,
-    generated_pair_subact,
-    ideal_intersection,
-    left_cancellable_elements,
-    min_generating_set,
-    r_set,
-)
-
-AXIOM_CLASS_IDS = ("P", "E", "EP", "W", "PWP")
+from .monoid import FiniteMonoid, left_cancellable_elements, min_generating_set
 
 
 @dataclass(frozen=True)
@@ -119,159 +109,49 @@ def torsion_free_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
     return tuple(out)
 
 
-def _ep_witness_set(M: FiniteMonoid, s: int, t: int):
-    """Finite subset f of R(s,t) such that every diagonal interpolation
-    a = u*c = v*c with (u,v) in R(s,t) rescales to one with (u,v) in f.
-
-    Read "(a,a) = (u,v) scaled by an act element": any generating set has
-    the rescaling property, since (u,v) = (u_i,v_i)*w turns c into w*c.
-    The minimum generating set is used, with the full solution set as a
-    guarded fallback should the coverage re-check ever fail."""
-    R = R_set(M, s, t)
-    gens = min_generating_set(R)
-    if generated_pair_subact(M, gens).pairs != R.pairs:
-        return tuple(sorted(R.pairs))
-    return gens
-
-
 def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
     """Sentence set for one condition class, one sentence per parameter.
 
-    Each sentence instantiates the generator data of the matching finite
-    structure: R(s,t) for (P), r(s,t) for (E), the EP witness set for
-    (EP), sS ∩ tS for (W), and R(t,t) for (PWP).  Parameters whose
-    structure is empty get the corresponding inequation sentence.
+    Each sentence states the class's trigger s·x = t·y and, for each
+    minimum generator of its structure, one interpolant disjunct (see
+    `INTERPOLATION_CLASSES`).  Parameters whose structure is empty get the
+    corresponding inequation sentence.
     """
     cid = class_id.upper()
-    if cid not in AXIOM_CLASS_IDS:
+    if cid not in INTERPOLATION_CLASSES:
         raise ValidationError(f"no axiom schema for class {class_id!r}")
+    cls = INTERPOLATION_CLASSES[cid]
     names = M.element_names
+    x, y = cls.trigger[0], cls.trigger[-1]
+    forall = tuple(dict.fromkeys(cls.trigger))
     sentences = list(act_axioms(M))
     provenance: dict[str, dict] = {}
-
-    def add(name, sentence, params, gens):
-        sentences.append(sentence)
-        provenance[name] = {"params": params, "generators": gens}
-
-    if cid == "W":
-        for s in M.elements():
-            for t in M.elements():
-                name = f"W[{names[s]},{names[t]}]"
-                cap = ideal_intersection(M, s, t)
-                if not cap.members:
-                    sent = Sentence(
-                        name, ("x", "y"), "inequation",
-                        _eq(_t("x", s), _t("y", t)),
-                    )
-                    add(name, sent, [names[s], names[t]], [])
-                    continue
-                gens = min_generating_set(cap)
-                sent = Sentence(
-                    name,
-                    ("x", "y"),
-                    "implication",
-                    antecedent=(_eq(_t("x", s), _t("y", t)),),
-                    exists=("z",),
-                    consequent=tuple(
-                        (_eq(_t("x", s), _t("z", u)), _eq(_t("y", t), _t("z", u)))
-                        for u in gens
-                    ),
-                )
-                add(name, sent, [names[s], names[t]], [names[u] for u in gens])
-    elif cid == "PWP":
-        for t in M.elements():
-            name = f"PWP[{names[t]}]"
-            R = R_set(M, t, t)
-            if not R.pairs:
-                sent = Sentence(
-                    name, ("x", "x'"), "inequation", _eq(_t("x", t), _t("x'", t))
-                )
-                add(name, sent, [names[t]], [])
-                continue
-            gens = min_generating_set(R)
-            sent = Sentence(
-                name,
-                ("x", "x'"),
-                "implication",
-                antecedent=(_eq(_t("x", t), _t("x'", t)),),
-                exists=("z",),
-                consequent=tuple(
-                    (_eq(_t("x"), _t("z", u)), _eq(_t("x'"), _t("z", v)))
-                    for u, v in gens
-                ),
+    for s, t in cls.params(M):
+        params = [names[t]] if cls.diagonal else [names[s], names[t]]
+        name = f"{cid}[{','.join(params)}]"
+        trigger = _eq(_t(x, s), _t(y, t))
+        gens = min_generating_set(cls.structure(M, s, t))
+        if gens:
+            sides = [
+                _t(v, p) if cls.scaled else _t(v) for v, p in zip(cls.trigger, (s, t))
+            ]
+            consequent = tuple(
+                tuple(_eq(side, _t("z", u)) for side, u in zip(sides, pair))
+                for pair in as_pairs(gens)
             )
-            add(name, sent, [names[t]], [[names[u], names[v]] for u, v in gens])
-    elif cid == "P":
-        for s in M.elements():
-            for t in M.elements():
-                name = f"P[{names[s]},{names[t]}]"
-                R = R_set(M, s, t)
-                if not R.pairs:
-                    sent = Sentence(
-                        name, ("x", "y"), "inequation", _eq(_t("x", s), _t("y", t))
-                    )
-                    add(name, sent, [names[s], names[t]], [])
-                    continue
-                gens = min_generating_set(R)
-                sent = Sentence(
-                    name,
-                    ("x", "y"),
-                    "implication",
-                    antecedent=(_eq(_t("x", s), _t("y", t)),),
-                    exists=("z",),
-                    consequent=tuple(
-                        (_eq(_t("x"), _t("z", u)), _eq(_t("y"), _t("z", v)))
-                        for u, v in gens
-                    ),
-                )
-                add(name, sent, [names[s], names[t]],
-                    [[names[u], names[v]] for u, v in gens])
-    elif cid == "E":
-        for s in M.elements():
-            for t in M.elements():
-                name = f"E[{names[s]},{names[t]}]"
-                r = r_set(M, s, t)
-                if not r.members:
-                    sent = Sentence(
-                        name, ("x",), "inequation", _eq(_t("x", s), _t("x", t))
-                    )
-                    add(name, sent, [names[s], names[t]], [])
-                    continue
-                gens = min_generating_set(r)
-                sent = Sentence(
-                    name,
-                    ("x",),
-                    "implication",
-                    antecedent=(_eq(_t("x", s), _t("x", t)),),
-                    exists=("z",),
-                    consequent=tuple((_eq(_t("x"), _t("z", u)),) for u in gens),
-                )
-                add(name, sent, [names[s], names[t]], [names[u] for u in gens])
-    else:  # EP
-        for s in M.elements():
-            for t in M.elements():
-                name = f"EP[{names[s]},{names[t]}]"
-                R = R_set(M, s, t)
-                if not R.pairs:
-                    sent = Sentence(
-                        name, ("x",), "inequation", _eq(_t("x", s), _t("x", t))
-                    )
-                    add(name, sent, [names[s], names[t]], [])
-                    continue
-                wits = _ep_witness_set(M, s, t)
-                sent = Sentence(
-                    name,
-                    ("x",),
-                    "implication",
-                    antecedent=(_eq(_t("x", s), _t("x", t)),),
-                    exists=("z",),
-                    consequent=tuple(
-                        (_eq(_t("x"), _t("z", u)), _eq(_t("x"), _t("z", v)))
-                        for u, v in wits
-                    ),
-                )
-                add(name, sent, [names[s], names[t]],
-                    [[names[u], names[v]] for u, v in wits])
+            sentences.append(
+                Sentence(name, forall, "implication", antecedent=(trigger,),
+                         exists=("z",), consequent=consequent)
+            )
+        else:
+            sentences.append(Sentence(name, forall, "inequation", trigger))
+        provenance[name] = {
+            "params": params,
+            "generators": [
+                [names[u] for u in g] if isinstance(g, tuple) else names[g]
+                for g in gens
+            ],
+        }
     return AxiomSet(cid, M, tuple(sentences), provenance)
 
 
@@ -361,39 +241,26 @@ class AxiomCheckReport:
 
 
 def verify_axiomatisation(
-    M: FiniteMonoid, class_id: str, max_act_size: int, threads: int = 1
+    M: FiniteMonoid, class_id: str, max_act_size: int
 ) -> AxiomCheckReport:
     """Check "satisfies the schema ⇔ satisfies the condition" on every left
-    act up to the size bound; any divergence is a hard failure.
-
-    The per-act checks are pure, so threads > 1 fans them out with ordered
-    aggregation; results are identical to the sequential sweep.
-    """
+    act up to the size bound; any divergence is a hard failure."""
     axset = emit_axioms(M, class_id)
-
-    def row(B):
+    checked = 0
+    divergences = []
+    for B in enumerate_acts(M, "left", max_act_size):
+        checked += 1
         semantic = check_condition(B, axset.class_id).holds
         syntactic = satisfies_all(B, axset.sentences)
-        return B, semantic, syntactic
-
-    acts = enumerate_acts(M, "left", max_act_size)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, acts))
-    else:
-        rows = [row(B) for B in acts]
-    divergences = [
-        {
-            "act_table": [list(r) for r in B.table],
-            "condition": semantic,
-            "models_sentences": syntactic,
-        }
-        for B, semantic, syntactic in rows
-        if semantic != syntactic
-    ]
-    return AxiomCheckReport(axset.class_id, M.name, max_act_size, len(rows), divergences)
+        if semantic != syntactic:
+            divergences.append(
+                {
+                    "act_table": [list(r) for r in B.table],
+                    "condition": semantic,
+                    "models_sentences": syntactic,
+                }
+            )
+    return AxiomCheckReport(axset.class_id, M.name, max_act_size, checked, divergences)
 
 
 def term_to_text(M: FiniteMonoid, term: Term) -> str:

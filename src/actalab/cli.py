@@ -17,7 +17,6 @@ from itertools import islice
 from . import zoo
 from .act import Act, enumerate_acts
 from .axioms import (
-    AXIOM_CLASS_IDS,
     emit_axioms,
     model_check,
     sentence_to_text,
@@ -25,6 +24,7 @@ from .axioms import (
 )
 from .conditions import (
     CONDITION_IDS,
+    INTERPOLATION_CLASSES,
     check_condition,
     check_flat_bounded,
     check_pwf,
@@ -32,7 +32,7 @@ from .conditions import (
 )
 from .errors import ActalabError
 from .monoid import FiniteMonoid
-from .replacement import REPLACEMENT_CLASS_IDS, replacement_skeletons, verify_replacement
+from .replacement import replacement_skeletons, verify_replacement
 from .serialize import (
     act_from_dict,
     act_to_dict,
@@ -203,7 +203,7 @@ def _cmd_axioms_modelcheck(args) -> int:
 def _cmd_axioms_verify(args) -> int:
     M = _load_monoid(args.monoid)
     _guard(M.size, args.max_size, args.max_size)
-    report = verify_axiomatisation(M, args.cls, args.max_size, threads=args.threads)
+    report = verify_axiomatisation(M, args.cls, args.max_size)
     text = (
         f"class {report.class_id} over {report.monoid}: "
         f"{report.acts_checked} acts checked, "
@@ -243,10 +243,8 @@ def _cmd_replace_verify(args) -> int:
         s = M.index(args.s)
         t = M.index(args.t) if args.t is not None else s
         pairs = [(s, t)]
-    elif cid == "PWP":
-        pairs = [(t, t) for t in M.elements()]
     else:
-        pairs = [(s, t) for s in M.elements() for t in M.elements()]
+        pairs = INTERPOLATION_CLASSES[cid].params(M)
     reports = [verify_replacement(B, s, t, cid) for s, t in pairs]
     lines = [
         f"({rep.s},{rep.t}): {rep.status}, {len(rep.instances)} instances"
@@ -285,6 +283,8 @@ def _cmd_zoo_report(args) -> int:
     try:
         values = list(range(int(lo), int(hi) + 1))
     except ValueError:
+        values = []
+    if not values:
         raise ActalabError(f"--range must look like '2..4', got {args.range!r}")
     report = zoo.family_report(args.family, values)
     lines = [f"{report.family} over n = {values}"]
@@ -317,6 +317,8 @@ def _cmd_enumerate(args) -> int:
     count = 0
     stream = enumerate_acts(M, args.side, args.max_size, distinct=args.distinct)
     if args.limit is not None:
+        if args.limit < 0:
+            raise ActalabError(f"--limit must be at least 0, got {args.limit}")
         stream = islice(stream, args.limit)
     for act in stream:
         data = act_to_dict(act)
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     axsub = sp.add_subparsers(dest="action", required=True)
     v = axsub.add_parser("emit")
     v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in AXIOM_CLASS_IDS])
+                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
     v.add_argument("--monoid", required=True)
     v.add_argument("-o", "--out")
     add_json(v)
@@ -394,11 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_axioms_modelcheck)
     v = axsub.add_parser("verify")
     v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in AXIOM_CLASS_IDS])
+                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
     v.add_argument("--monoid", required=True)
     v.add_argument("--max-size", type=int, required=True)
-    v.add_argument("--threads", type=int, default=1,
-                   help="parallel sweep width; results are order-stable")
     add_json(v)
     v.set_defaults(func=_cmd_axioms_verify)
 
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = sp.add_subparsers(dest="action", required=True)
     v = rsub.add_parser("compute")
     v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in REPLACEMENT_CLASS_IDS])
+                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
     v.add_argument("--monoid", required=True)
     v.add_argument("--s", required=True)
     v.add_argument("--t")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_replace_compute)
     v = rsub.add_parser("verify")
     v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in REPLACEMENT_CLASS_IDS])
+                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
     v.add_argument("--monoid", required=True)
     v.add_argument("--act", required=True)
     v.add_argument("--s")

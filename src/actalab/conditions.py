@@ -10,14 +10,21 @@ violation; interpolant reporting on success is opt-in to keep sweeps cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from typing import Callable
 
 from .act import Act, regular_act, restrict_act
 from .errors import SideMismatchError, UnknownConditionError, ValidationError
 from .monoid import (
     FiniteMonoid,
+    PairSubact,
+    R_set,
+    RightIdeal,
+    ideal_intersection,
     left_cancellable_elements,
     principal_right_ideal,
+    r_set,
 )
 from .tensor import TensorProduct, Skeleton, gamma_pairs, standard_subact, tensor_product
 
@@ -44,55 +51,94 @@ class ConditionReport:
         return out
 
 
+@dataclass(frozen=True)
+class InterpolationClass:
+    """One interpolation class: a trigger s·x = t·y and the finite structure
+    over (s, t) whose elements interpolate each instance of it.
+
+    A pair (u, v) of the structure interpolates an instance through some z
+    by x = u·z and y = v·z; an element u of a right ideal stands for the
+    pair (u, u).  A `scaled` class interpolates the trigger's two sides
+    instead: s·x = u·z and t·y = u·z.
+    """
+
+    structure: Callable[[FiniteMonoid, int, int], RightIdeal | PairSubact]
+    # x and y of s·x = t·y, one per leg of the interpolant: the element u
+    # of r(s,t) meets x once, a pair (u, v) of R(s,t) may meet x twice
+    trigger: tuple[str, ...]
+    # report keys for (s, t), for the trigger's values (b, b'), for (u, v)
+    # and for the element the interpolant passes through
+    keys: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], str]
+    diagonal: bool = False  # the parameters are (t, t) only
+    scaled: bool = False
+
+    def params(self, M: FiniteMonoid) -> list[tuple[int, int]]:
+        if self.diagonal:
+            return [(t, t) for t in M.elements()]
+        return [(s, t) for s in M.elements() for t in M.elements()]
+
+    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, int]]:
+        """Trigger instances (b, b') with s·b = t·b'; b' = b when y is x."""
+        srow, trow = B.table[s], B.table[t]
+        carrier = B.carrier()
+        if self.trigger[0] == self.trigger[-1]:
+            return [(b, b) for b in carrier if srow[b] == trow[b]]
+        return [(b, b2) for b in carrier for b2 in carrier if srow[b] == trow[b2]]
+
+
+# The classes that the deciders, the sentence schemas and the replacement
+# skeletons all read; the key order is the order every listing uses.
+INTERPOLATION_CLASSES = {
+    "P": InterpolationClass(
+        R_set, ("x", "y"), (("s", "s2"), ("b", "b2"), ("u", "u2"), "through")
+    ),
+    "E": InterpolationClass(r_set, ("x",), (("s", "s2"), ("b",), ("u",), "through")),
+    "EP": InterpolationClass(
+        R_set, ("x", "x"), (("s", "t"), ("a",), ("u", "v"), "through")
+    ),
+    "W": InterpolationClass(
+        ideal_intersection, ("x", "y"), (("s", "t"), ("a", "a2"), ("u",), "d"),
+        scaled=True,
+    ),
+    "PWP": InterpolationClass(
+        R_set, ("x", "x'"), (("t",), ("a", "a2"), ("u", "v"), "through"),
+        diagonal=True,
+    ),
+}
+
+
+def as_pairs(items) -> tuple[tuple[int, int], ...]:
+    """Structure elements as pairs (u, v); an ideal's member u is (u, u)."""
+    return tuple(g if isinstance(g, tuple) else (g, g) for g in items)
+
+
+@lru_cache(maxsize=64)
+def _structures(cid: str, M: FiniteMonoid) -> tuple:
+    """(s, t, every element of the structure as sorted pairs) per parameter
+    of a class.  Every act over M reads the same structures, so they are
+    kept for the most recent monoids."""
+    cls = INTERPOLATION_CLASSES[cid]
+    out = []
+    for s, t in cls.params(M):
+        S = cls.structure(M, s, t)
+        elements = S.pairs if isinstance(S, PairSubact) else S.members
+        out.append((s, t, as_pairs(sorted(elements))))
+    return tuple(out)
+
+
 def _require_left(B: Act):
     if B.side != "left":
         raise SideMismatchError("condition checks run on left acts")
 
 
-def _divisor_table(B: Act):
-    """E[b][c] = all u with u*c = b."""
-    k = B.size
-    E = [[[] for _ in range(k)] for _ in range(k)]
-    for u in B.monoid.elements():
-        row = B.table[u]
-        for c in range(k):
-            E[row[c]][c].append(u)
-    return E
-
-
-def _image_sets(B: Act, E):
-    """image[t][b][c] = {t*u : u*c = b}, the targets reachable by scaling a
-    divisor of b at base c."""
-    mul = B.monoid.mul
-    k = B.size
-    return [
-        [[frozenset(mul[t][u] for u in E[b][c]) for c in range(k)] for b in range(k)]
-        for t in B.monoid.elements()
-    ]
-
-
 class _Checker:
-    """Shared precomputations for the per-act condition procedures."""
+    """Shared state for the per-act condition procedures."""
 
     def __init__(self, B: Act, want_witnesses: bool = False):
         _require_left(B)
         self.B = B
         self.M = B.monoid
-        self.E = _divisor_table(B)
-        self._images = None
         self.want = want_witnesses
-
-    @property
-    def images(self):
-        if self._images is None:
-            self._images = _image_sets(self.B, self.E)
-        return self._images
-
-    def _labels(self, **kw):
-        out = {}
-        for key, (kind, v) in kw.items():
-            out[key] = self.M.label(v) if kind == "s" else self.B.label(v)
-        return out
 
     def check(self, cond: str) -> ConditionReport:
         cond = cond.upper()
@@ -109,206 +155,74 @@ class _Checker:
             if self.want:
                 details = {"P": p.details, "E": e.details}
             return ConditionReport("SF", "holds", None, details)
-        return getattr(self, "_check_" + cond.lower())()
+        if cond == "TF":
+            return self._check_tf()
+        return self._interpolate(cond)
 
     def _check_tf(self) -> ConditionReport:
-        B = self.B
-        for s in left_cancellable_elements(self.M):
+        B, M = self.B, self.M
+        for s in left_cancellable_elements(M):
             row = B.table[s]
             seen: dict[int, int] = {}
             for a in B.carrier():
                 v = row[a]
                 if v in seen:
-                    w = self._labels(s=("s", s), a=("b", seen[v]), b=("b", a))
+                    w = {"s": M.label(s), "a": B.label(seen[v]), "b": B.label(a)}
                     return ConditionReport("TF", "fails", w)
                 seen[v] = a
         return ConditionReport("TF", "holds")
 
-    def _check_p(self) -> ConditionReport:
-        B, M, E = self.B, self.M, self.E
-        mul = M.mul
-        images = self.images
+    def _interpolate(self, cid: str) -> ConditionReport:
+        """Every trigger instance must have its legs in the orbit of the
+        whole structure, never only of its generators: (b, b') = (u·c, v·c)
+        for some (u, v) in it and c in B, or s·b = u·c = t·b' when scaled.
+        """
+        cls = INTERPOLATION_CLASSES[cid]
+        rows = self.B.table
         found = [] if self.want else None
-        for s in M.elements():
-            srow = B.table[s]
-            for s2 in M.elements():
-                s2row = B.table[s2]
-                for b in B.carrier():
-                    sb = srow[b]
-                    for b2 in B.carrier():
-                        if s2row[b2] != sb:
-                            continue
-                        hit = None
-                        for c in B.carrier():
-                            tgt = images[s2][b2][c]
-                            if not tgt:
-                                continue
-                            for u in E[b][c]:
-                                if mul[s][u] in tgt:
-                                    hit = (u, c)
-                                    break
-                            if hit:
-                                break
-                        if hit is None:
-                            w = self._labels(
-                                s=("s", s), s2=("s", s2), b=("b", b), b2=("b", b2)
-                            )
-                            return ConditionReport("P", "fails", w)
-                        if found is not None:
-                            u, c = hit
-                            u2 = next(
-                                v for v in E[b2][c] if mul[s2][v] == mul[s][u]
-                            )
-                            found.append(
-                                self._labels(
-                                    s=("s", s), s2=("s", s2), b=("b", b),
-                                    b2=("b", b2), u=("s", u), u2=("s", u2),
-                                    through=("b", c),
-                                )
-                            )
+        for s, t, pairs in _structures(cid, self.M):
+            orbit = set()
+            for u, v in pairs:
+                orbit.update(zip(rows[u], rows[v]))
+            sb = rows[s]
+            for b, b2 in cls.instances(self.B, s, t):
+                legs = (sb[b], sb[b]) if cls.scaled else (b, b2)
+                if legs not in orbit:
+                    witness = self._instance(cls, s, t, b, b2)
+                    return ConditionReport(cid, "fails", witness)
+                if found is not None:
+                    hit = self._interpolant(cls, pairs, legs)
+                    found.append(self._instance(cls, s, t, b, b2, hit))
         details = {"instances": found} if found is not None else None
-        return ConditionReport("P", "holds", None, details)
+        return ConditionReport(cid, "holds", None, details)
 
-    def _check_e(self) -> ConditionReport:
-        B, M, E = self.B, self.M, self.E
-        mul = M.mul
-        found = [] if self.want else None
-        for s in M.elements():
-            srow = B.table[s]
-            for s2 in M.elements():
-                s2row = B.table[s2]
-                for b in B.carrier():
-                    if srow[b] != s2row[b]:
-                        continue
-                    hit = None
-                    for c in B.carrier():
-                        for u in E[b][c]:
-                            if mul[s][u] == mul[s2][u]:
-                                hit = (u, c)
-                                break
-                        if hit:
-                            break
-                    if hit is None:
-                        w = self._labels(s=("s", s), s2=("s", s2), b=("b", b))
-                        return ConditionReport("E", "fails", w)
-                    if found is not None:
-                        found.append(
-                            self._labels(
-                                s=("s", s), s2=("s", s2), b=("b", b),
-                                u=("s", hit[0]), through=("b", hit[1]),
-                            )
-                        )
-        details = {"instances": found} if found is not None else None
-        return ConditionReport("E", "holds", None, details)
+    def _interpolant(self, cls, pairs, legs) -> tuple[int, int, int]:
+        """The first (u, v, c) with (u·c, v·c) = legs: smallest c first, or
+        smallest u first for a scaled class, whose pairs are all (u, u)."""
+        rows = self.B.table
+        b, b2 = legs
+        if cls.scaled:
+            u = next(u for u, _ in pairs if b in rows[u])
+            return u, u, rows[u].index(b)
+        return next(
+            (u, v, c)
+            for c in self.B.carrier()
+            for u, v in pairs
+            if rows[u][c] == b and rows[v][c] == b2
+        )
 
-    def _check_ep(self) -> ConditionReport:
-        B, M, E = self.B, self.M, self.E
-        mul = M.mul
-        images = self.images
-        found = [] if self.want else None
-        for s in M.elements():
-            srow = B.table[s]
-            for t in M.elements():
-                trow = B.table[t]
-                for a in B.carrier():
-                    if srow[a] != trow[a]:
-                        continue
-                    hit = None
-                    for c in B.carrier():
-                        tgt = images[t][a][c]
-                        if not tgt:
-                            continue
-                        for u in E[a][c]:
-                            if mul[s][u] in tgt:
-                                hit = (u, c)
-                                break
-                        if hit:
-                            break
-                    if hit is None:
-                        w = self._labels(s=("s", s), t=("s", t), a=("b", a))
-                        return ConditionReport("EP", "fails", w)
-                    if found is not None:
-                        u, c = hit
-                        v = next(w_ for w_ in E[a][c] if mul[t][w_] == mul[s][u])
-                        found.append(
-                            self._labels(
-                                s=("s", s), t=("s", t), a=("b", a),
-                                u=("s", u), v=("s", v), through=("b", c),
-                            )
-                        )
-        details = {"instances": found} if found is not None else None
-        return ConditionReport("EP", "holds", None, details)
-
-    def _check_w(self) -> ConditionReport:
-        B, M = self.B, self.M
-        n = M.size
-        reach = [frozenset(B.table[u]) for u in range(n)]
-        pri = [principal_right_ideal(M, a).members for a in range(n)]
-        found = [] if self.want else None
-        for s in M.elements():
-            srow = B.table[s]
-            for t in M.elements():
-                trow = B.table[t]
-                cap = pri[s] & pri[t]
-                for a in B.carrier():
-                    c = srow[a]
-                    for a2 in B.carrier():
-                        if trow[a2] != c:
-                            continue
-                        u_hit = next((u for u in cap if c in reach[u]), None)
-                        if u_hit is None:
-                            w = self._labels(
-                                s=("s", s), t=("s", t), a=("b", a), a2=("b", a2)
-                            )
-                            return ConditionReport("W", "fails", w)
-                        if found is not None:
-                            d = B.table[u_hit].index(c)
-                            found.append(
-                                self._labels(
-                                    s=("s", s), t=("s", t), a=("b", a),
-                                    a2=("b", a2), u=("s", u_hit), d=("b", d),
-                                )
-                            )
-        details = {"instances": found} if found is not None else None
-        return ConditionReport("W", "holds", None, details)
-
-    def _check_pwp(self) -> ConditionReport:
-        B, M, E = self.B, self.M, self.E
-        mul = M.mul
-        images = self.images
-        found = [] if self.want else None
-        for t in M.elements():
-            trow = B.table[t]
-            for a in B.carrier():
-                ta = trow[a]
-                for a2 in B.carrier():
-                    if trow[a2] != ta:
-                        continue
-                    hit = None
-                    for c in B.carrier():
-                        tgt = images[t][a2][c]
-                        if not tgt:
-                            continue
-                        for u in E[a][c]:
-                            if mul[t][u] in tgt:
-                                hit = (u, c)
-                                break
-                        if hit:
-                            break
-                    if hit is None:
-                        w = self._labels(t=("s", t), a=("b", a), a2=("b", a2))
-                        return ConditionReport("PWP", "fails", w)
-                    if found is not None:
-                        u, c = hit
-                        v = next(w_ for w_ in E[a2][c] if mul[t][w_] == mul[t][u])
-                        found.append(
-                            self._labels(
-                                t=("s", t), a=("b", a), a2=("b", a2),
-                                u=("s", u), v=("s", v), through=("b", c),
-                            )
-                        )
-        details = {"instances": found} if found is not None else None
-        return ConditionReport("PWP", "holds", None, details)
+    def _instance(self, cls, s, t, b, b2, interpolant=None) -> dict:
+        """A trigger instance, with its interpolant when given, under the
+        class's report keys."""
+        mn, bn = self.M.element_names, self.B.carrier_names
+        param_keys, value_keys, interpolant_keys, through_key = cls.keys
+        out = dict(zip(param_keys, (mn[s], mn[t])))
+        out.update(zip(value_keys, (bn[b], bn[b2])))
+        if interpolant is not None:
+            u, v, c = interpolant
+            out.update(zip(interpolant_keys, (mn[u], mn[v])))
+            out[through_key] = bn[c]
+        return out
 
 
 def check_condition(B: Act, cond: str, want_witnesses: bool = False) -> ConditionReport:
@@ -317,7 +231,7 @@ def check_condition(B: Act, cond: str, want_witnesses: bool = False) -> Conditio
 
 
 def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]:
-    """All requested condition verdicts with shared precomputation."""
+    """All requested condition verdicts of one act."""
     chk = _Checker(B)
     return {c: chk.check(c) for c in conds}
 

@@ -3,13 +3,10 @@
 For an act in one of the classes (P), (E), (EP), (W), (PWP), every trigger
 instance (an equality such as sa = tb, witnessed by the length-2 skeleton
 (1, s, t, 1)) can be re-connected by a tossing whose skeleton comes from a
-finite list computed out of generator data:
-
-  P    length-1 skeletons (u_i, v_i) from generators of R(s,t)
-  E    trivial skeletons (u_i, u_i) from generators of r(s,t)
-  EP   length-1 skeletons from the diagonal witness subset of R(s,t)
-  W    length-3 skeletons (1, s, u_i, u_i, t, 1) from generators of sS ∩ tS
-  PWP  length-1 skeletons from generators of R(t,t), trigger (1, t, t, 1)
+finite list computed out of the minimum generators of the class's structure
+(see `INTERPOLATION_CLASSES`): a pair (u, v) gives the length-1 skeleton
+(u, v), a member u of an ideal the trivial skeleton (u, u), and for the
+scaled class (W) the length-3 skeleton (1, s, u, u, t, 1).
 
 The verifier sweeps every trigger instance of an act and must find a
 replacement for each; a miss would contradict the defining property of the
@@ -21,18 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .act import Act, regular_act
-from .conditions import check_condition
+from .conditions import INTERPOLATION_CLASSES, as_pairs, check_condition
 from .errors import BadParamsError, SideMismatchError, ValidationError
-from .monoid import (
-    FiniteMonoid,
-    R_set,
-    ideal_intersection,
-    min_generating_set,
-    r_set,
-)
+from .monoid import FiniteMonoid, min_generating_set
 from .tensor import Skeleton, Tossing, eval_delta, eval_gamma, validate_tossing
-
-REPLACEMENT_CLASS_IDS = ("P", "E", "EP", "W", "PWP")
 
 
 @dataclass(frozen=True)
@@ -44,30 +33,6 @@ class ReplacementSet:
     skeletons: tuple[Skeleton, ...]
     generators: tuple
 
-    def shape_ok(self) -> bool:
-        """Length-1 for P/EP/PWP, trivial (u,u) for E, (1,s,u,u,t,1) for W."""
-        for sk in self.skeletons:
-            if self.class_id in ("P", "EP", "PWP"):
-                if sk.length != 1:
-                    return False
-            elif self.class_id == "E":
-                if sk.length != 1 or sk.s(1) != sk.t(1):
-                    return False
-            else:
-                if sk.length != 3:
-                    return False
-                e = self.trigger.s(1)
-                good = (
-                    sk.s(1) == e
-                    and sk.t(1) == self.s
-                    and sk.s(2) == sk.t(2)
-                    and sk.s(3) == self.t
-                    and sk.t(3) == e
-                )
-                if not good:
-                    return False
-        return True
-
 
 def replacement_skeletons(
     M: FiniteMonoid, s: int, t: int, class_id: str
@@ -75,28 +40,17 @@ def replacement_skeletons(
     """The finite replacement list for one parameter pair; empty exactly when
     the underlying structure is empty."""
     cid = class_id.upper()
-    if cid not in REPLACEMENT_CLASS_IDS:
+    if cid not in INTERPOLATION_CLASSES:
         raise ValidationError(f"no replacement construction for class {class_id!r}")
+    cls = INTERPOLATION_CLASSES[cid]
+    if cls.diagonal and s != t:
+        raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    if cid == "PWP":
-        if s != t:
-            raise BadParamsError("the PWP trigger needs s = t")
-        gens = min_generating_set(R_set(M, t, t))
-        sks = tuple(Skeleton((u, v)) for u, v in gens)
-    elif cid == "P":
-        gens = min_generating_set(R_set(M, s, t))
-        sks = tuple(Skeleton((u, v)) for u, v in gens)
-    elif cid == "EP":
-        from .axioms import _ep_witness_set
-
-        gens = _ep_witness_set(M, s, t)
-        sks = tuple(Skeleton((u, v)) for u, v in gens)
-    elif cid == "E":
-        gens = min_generating_set(r_set(M, s, t))
-        sks = tuple(Skeleton((u, u)) for u in gens)
-    else:  # W
-        gens = min_generating_set(ideal_intersection(M, s, t))
-        sks = tuple(Skeleton((e, s, u, u, t, e)) for u in gens)
+    gens = min_generating_set(cls.structure(M, s, t))
+    sks = tuple(
+        Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v))
+        for u, v in as_pairs(gens)
+    )
     trigger = Skeleton((e, s, t, e))
     return ReplacementSet(cid, s, t, trigger, sks, tuple(gens))
 
@@ -127,15 +81,6 @@ class ReplacementReport:
         return out
 
 
-def _trigger_instances(B: Act, s: int, t: int, cid: str):
-    srow, trow = B.table[s], B.table[t]
-    if cid in ("E", "EP"):
-        return [(a, a) for a in B.carrier() if srow[a] == trow[a]]
-    return [
-        (a, b) for a in B.carrier() for b in B.carrier() if srow[a] == trow[b]
-    ]
-
-
 def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementReport:
     """Replace every trigger instance of B, reporting the skeleton used and a
     validated tossing per instance.  Acts outside the class are inapplicable."""
@@ -144,6 +89,7 @@ def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementRepo
     M = B.monoid
     rset = replacement_skeletons(M, s, t, class_id)
     cid = rset.class_id
+    cls = INTERPOLATION_CLASSES[cid]
     sl, tl = M.label(s), M.label(t)
     if not check_condition(B, cid).holds:
         return ReplacementReport(cid, sl, tl, "inapplicable", [])
@@ -155,7 +101,7 @@ def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementRepo
         assert ok, "replacement skeleton lost its defining membership"
         delta_wits[sk] = wits
     instances = []
-    for a, b in _trigger_instances(B, s, t, cid):
+    for a, b in cls.instances(B, s, t):
         hit = None
         for sk in rset.skeletons:
             gok, gwits = eval_gamma(B, sk, a, b)
@@ -164,7 +110,7 @@ def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementRepo
             toss = Tossing(S_right, B, sk, (s, a), (t, b), delta_wits[sk], gwits)
             if not validate_tossing(toss):
                 continue
-            if cid == "W":
+            if cls.scaled:
                 # the equational reading: sa = tb = u*d for some d
                 u = sk.s(2)
                 c = B.table[s][a]

@@ -22,7 +22,6 @@ from .axioms import AxiomSet, Equation, Sentence, Term, sentence_to_text
 from .errors import MonoidMismatchError, ValidationError
 from .monoid import FiniteMonoid, validate_monoid
 from .tensor import Skeleton, Tossing
-from .zoo import FamilyReport
 
 
 def monoid_to_dict(M: FiniteMonoid) -> dict:
@@ -173,10 +172,6 @@ def tossing_to_dict(t: Tossing) -> dict:
         "a_witnesses": [A.label(a) for a in t.a_witnesses],
         "b_witnesses": [B.label(b) for b in t.b_witnesses],
     }
-
-
-def family_report_to_dict(report: FamilyReport) -> dict:
-    return report.to_dict()
 
 
 def load_json(path: str | Path) -> dict:

@@ -233,3 +233,49 @@ def condition_violated(B, cond, witness) -> bool:
         cancellable = len(set(M.mul[s])) == M.size
         return cancellable and a != b and B.table[s][a] == B.table[s][b]
     raise AssertionError(f"no re-checker for {cond}")
+
+
+# condition_violated's instance keys: monoid parameters, then act elements
+INSTANCE_KEYS = {
+    "P": (("s", "s2"), ("b", "b2")),
+    "E": (("s", "s2"), ("b",)),
+    "EP": (("s", "t"), ("a",)),
+    "W": (("s", "t"), ("a", "a2")),
+    "PWP": (("t",), ("a", "a2")),
+}
+
+
+def condition_holds_brute(B, cond) -> bool:
+    """Decide P, E, EP, W or PWP by re-checking every trigger instance with
+    condition_violated, which itself passes over non-triggers."""
+    params, values = INSTANCE_KEYS[cond]
+    for ps in product(B.monoid.element_names, repeat=len(params)):
+        for vs in product(B.carrier_names, repeat=len(values)):
+            if condition_violated(B, cond, dict(zip(params + values, ps + vs))):
+                return False
+    return True
+
+
+def replacement_shape_ok(rset) -> bool:
+    """Length-1 for P/EP/PWP, trivial (u,u) for E, (1,s,u,u,t,1) for W."""
+    for sk in rset.skeletons:
+        if rset.class_id in ("P", "EP", "PWP"):
+            if sk.length != 1:
+                return False
+        elif rset.class_id == "E":
+            if sk.length != 1 or sk.s(1) != sk.t(1):
+                return False
+        else:
+            if sk.length != 3:
+                return False
+            e = rset.trigger.s(1)
+            good = (
+                sk.s(1) == e
+                and sk.t(1) == rset.s
+                and sk.s(2) == sk.t(2)
+                and sk.s(3) == rset.t
+                and sk.t(3) == e
+            )
+            if not good:
+                return False
+    return True

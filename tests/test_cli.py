@@ -148,6 +148,11 @@ def test_zoo_build_and_report(tmp_path, capsys):
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["monotonicity"]["R"] == "strictly-increasing"
+    assert run_command(
+        ["zoo", "report", "--family", "null_adjoined", "--range", "4..2"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--range" in captured.err
 
 
 def test_enumerate_jsonl(z2_file, capsys):
@@ -159,6 +164,11 @@ def test_enumerate_jsonl(z2_file, capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     # three acts, pretty-printed JSON blocks
     assert out.count('"monoid"') == 3
+    assert run_command(
+        ["enumerate", "--monoid", z2_file, "--side", "left",
+         "--max-size", "2", "--limit", "-1"]
+    ) == 2
+    assert "--limit" in capsys.readouterr().err
 
 
 def test_budget_guard(z2_file, z2_acts, monkeypatch, capsys):

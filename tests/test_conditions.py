@@ -3,7 +3,7 @@ import pytest
 import actalab as al
 from actalab.conditions import all_right_ideals
 from actalab.errors import UnknownConditionError
-from helpers import condition_violated
+from helpers import condition_holds_brute, condition_violated
 
 
 def test_regular_act_satisfies_w_and_pwp(zoo_monoids):
@@ -43,18 +43,58 @@ def test_all_fail_witnesses_revalidate(null2, natmin3):
                     )
 
 
+def _is_interpolant(B, cond, inst) -> bool:
+    """Re-check one reported success instance against the definition."""
+    M = B.monoid
+    if cond == "W":
+        s, t, u = M.index(inst["s"]), M.index(inst["t"]), M.index(inst["u"])
+        a, a2, d = B.index(inst["a"]), B.index(inst["a2"]), B.index(inst["d"])
+        c = B.apply(s, a)
+        return (
+            B.apply(t, a2) == c
+            and B.apply(u, d) == c
+            and u in al.ideal_intersection(M, s, t).members
+        )
+    # labels of s, t, b, b', u, v in the trigger s·b = t·b' and the
+    # interpolant b = u·c, b' = v·c, su = tv
+    labels = {
+        "P": ("s", "s2", "b", "b2", "u", "u2"),
+        "E": ("s", "s2", "b", "b", "u", "u"),
+        "EP": ("s", "t", "a", "a", "u", "v"),
+        "PWP": ("t", "t", "a", "a2", "u", "v"),
+    }[cond]
+    s, t, b, b2, u, v = (inst[k] for k in labels)
+    s, t, u, v = M.index(s), M.index(t), M.index(u), M.index(v)
+    b, b2, c = B.index(b), B.index(b2), B.index(inst["through"])
+    return (
+        B.apply(s, b) == B.apply(t, b2)
+        and B.apply(u, c) == b
+        and B.apply(v, c) == b2
+        and M.mul[s][u] == M.mul[t][v]
+    )
+
+
 def test_success_witnesses_are_real_interpolants(z2, natmin3):
     for M in (z2, natmin3):
-        B = al.regular_act(M, "left")
-        report = al.check_condition(B, "W", want_witnesses=True)
-        assert report.holds
-        for inst in report.details["instances"]:
-            s, t = M.index(inst["s"]), M.index(inst["t"])
-            a, a2 = B.index(inst["a"]), B.index(inst["a2"])
-            u, d = M.index(inst["u"]), B.index(inst["d"])
-            c = B.apply(s, a)
-            assert B.apply(t, a2) == c and B.apply(u, d) == c
-            assert u in al.ideal_intersection(M, s, t).members
+        acts = [al.regular_act(M, "left")] + list(al.enumerate_acts(M, "left", 3))
+        for B in acts:
+            for cond in ("P", "E", "EP", "W", "PWP"):
+                report = al.check_condition(B, cond, want_witnesses=True)
+                if not report.holds:
+                    continue
+                for inst in report.details["instances"]:
+                    assert _is_interpolant(B, cond, inst), (cond, B.table, inst)
+        regular = al.check_condition(acts[0], "W", want_witnesses=True)
+        assert regular.holds and regular.details["instances"]
+
+
+def test_holds_verdicts_match_instance_oracle(zoo_monoids):
+    for M in zoo_monoids:
+        for B in al.enumerate_acts(M, "left", 3):
+            for cond in ("P", "E", "EP", "W", "PWP"):
+                assert al.check_condition(B, cond).holds == condition_holds_brute(
+                    B, cond
+                ), (M.name, cond, B.table)
 
 
 def test_sf_is_p_and_e(null2):

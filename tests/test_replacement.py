@@ -2,12 +2,13 @@ import pytest
 
 import actalab as al
 from actalab.errors import BadParamsError
+from helpers import replacement_shape_ok
 
 
 def test_p_replacement_z2(z2):
     rset = al.replacement_skeletons(z2, 0, 1, "P")
     assert len(rset.skeletons) == 1
-    assert rset.shape_ok()
+    assert replacement_shape_ok(rset)
     (sk,) = rset.skeletons
     # membership re-checked by direct multiplication: s*u = t*v
     u, v = sk.s(1), sk.t(1)
@@ -25,7 +26,7 @@ def test_w_replacement_nat_min(natmin3):
     M = natmin3
     two, three = M.index("2"), M.index("3")
     rset = al.replacement_skeletons(M, two, three, "W")
-    assert rset.shape_ok()
+    assert replacement_shape_ok(rset)
     labels = [sk.labels(M) for sk in rset.skeletons]
     assert labels == [("eps", "2", "2", "2", "3", "eps")]
     # generator really generates the intersection ideal {1, 2}
@@ -43,7 +44,7 @@ def test_soundness_of_memberships(zoo_monoids):
             for t in M.elements():
                 for cls in ("P", "E", "EP", "W"):
                     rset = al.replacement_skeletons(M, s, t, cls)
-                    assert rset.shape_ok()
+                    assert replacement_shape_ok(rset)
                     for g in rset.generators:
                         if cls == "P" or cls == "EP":
                             u, v = g
