@@ -1,18 +1,26 @@
 """First-order sentence schemas for the act conditions over a fixed finite
-monoid, plus a brute-force model checker that makes "this sentence set
-axiomatises the class" an executable equivalence on finite acts.
+monoid, plus a model checker that makes "this sentence set axiomatises the
+class" an executable equivalence on finite acts.
 
 The sentence language has one unary function symbol per monoid element; a
 term is a word of elements folded onto a variable, so "s(t(x))" is the word
 (s, t) on x.  Every schema here is a universal sentence whose body is an
 equation, an inequation, or an implication from a conjunction of equations
 into an existentially quantified disjunction of conjunctions of equations.
+
+Each sentence is compiled once, on first use, into a plan (`_Plan`) of row
+vectors: on a table, a term's values at every carrier element are one
+composition of the rows of its word.  `model_check` and `satisfies_all`
+evaluate plans; `model_check_table`, which walks the terms once per
+assignment, is kept as their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import product, repeat
+from operator import itemgetter, ne
 
 from .act import Act, enumerate_acts
 from .conditions import INTERPOLATION_CLASSES, as_pairs, check_condition
@@ -50,6 +58,10 @@ class Sentence:
     antecedent: tuple[Equation, ...] = ()
     exists: tuple[str, ...] = ()
     consequent: tuple[tuple[Equation, ...], ...] = ()
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan(self)
 
 
 @dataclass
@@ -203,18 +215,177 @@ def model_check_table(
     return (True, None)
 
 
+class _RowVectors(dict):
+    """The row vectors of one table, keyed by word and built on demand: entry
+    x of a word's vector is the value of its term at carrier element x.
+    Rows may be lists or tuples; vectors are always tuples."""
+
+    def __init__(self, table):
+        super().__init__({(): tuple(range(len(table[0]) if table else 0))})
+        self.table = table
+
+    def __missing__(self, word):
+        # compose onto the longest suffix built so far; () is always there
+        i = 1
+        while word[i:] not in self:
+            i += 1
+        vec = self[word[i:]]
+        for j in reversed(range(i)):
+            vec = self[word[j:]] = tuple(map(self.table[word[j]].__getitem__, vec))
+        return vec
+
+
+class _Plan:
+    """A sentence compiled for evaluation on any table.
+
+    A term becomes (position of its variable, word): the forall variables
+    take positions 0..n-1 in quantifier order, the exists variables the
+    positions after them.
+    A consequent disjunct whose every equation pairs a forall-side term with
+    an exists-side term is grouped with the disjuncts of the same
+    forall-side terms; on a table a group is the set of tuples its
+    exists-side terms reach, and one lookup decides a trigger assignment.
+    Other disjuncts are tried over every exists assignment.
+    """
+
+    def __init__(self, sentence: Sentence):
+        names = sentence.forall + sentence.exists
+        if len(set(names)) != len(names):
+            raise ValidationError(f"sentence {sentence.name!r} binds a variable twice")
+        self.n = n = len(sentence.forall)
+        self.m = len(sentence.exists)
+        self.kind = sentence.kind
+        pos = {v: i for i, v in enumerate(names)}
+
+        def term(t: Term, bound: int) -> tuple[int, tuple[int, ...]]:
+            if pos.get(t.var, bound) >= bound:
+                raise ValidationError(
+                    f"sentence {sentence.name!r} uses the unbound variable {t.var!r}"
+                )
+            return (pos[t.var], t.word)
+
+        def equation(eq: Equation, bound: int = n):
+            return (term(eq.lhs, bound), term(eq.rhs, bound))
+
+        if sentence.kind in ("equation", "inequation"):
+            self.equation = equation(sentence.equation)
+            return
+        self.antecedent = tuple(map(equation, sentence.antecedent))
+        groups: dict[tuple, list] = {}
+        self.others = []
+        for conj in sentence.consequent:
+            eqs = [equation(eq, len(names)) for eq in conj]
+            paired = [(a, b) if a[0] < n else (b, a) for a, b in eqs]
+            if all(f[0] < n <= e[0] for f, e in paired):
+                key = tuple(f for f, _ in paired)
+                groups.setdefault(key, []).append(tuple(e for _, e in paired))
+            else:
+                self.others.append(eqs)
+        self.groups = tuple(groups.items())
+
+    def first_failure(self, vecs: _RowVectors) -> tuple[int, ...] | None:
+        """The first forall assignment, in product order, at which the
+        sentence fails on the table of `vecs`; None when it holds."""
+        k = len(vecs[()])
+        if self.kind not in ("equation", "inequation"):
+            return self._first_implication_failure(vecs, k)
+        (i, wl), (j, wr) = self.equation
+        L, R = vecs[wl], vecs[wr]
+        negated = self.kind == "inequation"
+        if negated:
+            holds = all(map(ne, L, R)) if i == j else set(L).isdisjoint(R)
+        else:
+            holds = L == R if i == j else len(set(L).union(R)) <= 1
+        if holds:
+            return None
+        return next(
+            a for a in product(range(k), repeat=self.n)
+            if (L[a[i]] == R[a[j]]) is negated
+        )
+
+    def _triggers(self, vecs: _RowVectors, k: int) -> list[tuple[int, ...]]:
+        """The forall assignments that satisfy the antecedent, in product order."""
+        ante = [(i, vecs[wl], j, vecs[wr]) for (i, wl), (j, wr) in self.antecedent]
+        if len(ante) == 1 and self.n <= 2:
+            i, L, j, R = ante[0]
+            if i == j and self.n == 1:
+                return [(x,) for x in range(k) if L[x] == R[x]]
+            if i != j:
+                if i:
+                    L, R = R, L
+                at: dict[int, list[int]] = {}
+                for y, v in enumerate(R):
+                    at.setdefault(v, []).append(y)
+                return [(x, y) for x, v in enumerate(L) for y in at.get(v, ())]
+        return [
+            a for a in product(range(k), repeat=self.n)
+            if all(L[a[i]] == R[a[j]] for i, L, j, R in ante)
+        ]
+
+    def _reach(self, vecs: _RowVectors, k: int, disjuncts) -> set[tuple[int, ...]]:
+        """The tuples of exists-side values that some exists assignment gives
+        one of the grouped disjuncts."""
+        n, out = self.n, set()
+        for eterms in disjuncts:
+            cols = [(q - n, vecs[w]) for q, w in eterms]
+            if self.m == 1 and cols:
+                out.update(zip(*(vec for _, vec in cols)))
+            else:
+                out.update(
+                    tuple(vec[zs[q]] for q, vec in cols)
+                    for zs in product(range(k), repeat=self.m)
+                )
+        return out
+
+    def _first_implication_failure(self, vecs, k):
+        triggers = self._triggers(vecs, k)
+        if not triggers:
+            return None
+        groups = (
+            ([(p, vecs[w]) for p, w in key], self._reach(vecs, k, disjuncts))
+            for key, disjuncts in self.groups
+        )
+        others = [
+            [(p, vecs[wp], q, vecs[wq]) for (p, wp), (q, wq) in eqs]
+            for eqs in self.others
+        ]
+        pending = triggers
+        for key, reach in groups:
+            cols = [map(vec.__getitem__, map(itemgetter(p), pending)) for p, vec in key]
+            keys = zip(*cols) if cols else repeat(())
+            pending = [a for a, values in zip(pending, keys) if values not in reach]
+        for a in pending:
+            if not any(
+                all(L[env[p]] == R[env[q]] for p, L, q, R in conj)
+                for env in (a + zs for zs in product(range(k), repeat=self.m))
+                for conj in others
+            ):
+                return a
+        return None
+
+
+def check_table(table, sentence: Sentence) -> tuple[bool, dict | None]:
+    """Evaluate a sentence's plan on a raw action table (valid act or not);
+    the same answer and counterexample as `model_check_table`."""
+    a = sentence._plan.first_failure(_RowVectors(table))
+    if a is None:
+        return (True, None)
+    return (False, dict(zip(sentence.forall, a)))
+
+
 def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
-    """Brute-force satisfaction, with a counterexample assignment on failure."""
+    """Satisfaction, with the first failing assignment as counterexample."""
     if B.side != "left":
         raise SideMismatchError("sentences of the left-act language need a left act")
-    ok, env = model_check_table(B.monoid, B.table, sentence)
+    ok, env = check_table(B.table, sentence)
     if env is not None:
         env = {v: B.label(i) for v, i in env.items()}
     return (ok, env)
 
 
 def satisfies_all(B: Act, sentences) -> bool:
-    return all(model_check_table(B.monoid, B.table, s)[0] for s in sentences)
+    vecs = _RowVectors(B.table)
+    return all(s._plan.first_failure(vecs) is None for s in sentences)
 
 
 @dataclass

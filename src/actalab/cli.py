@@ -3,8 +3,8 @@
 Exit codes: 0 for success or a holding verdict, 1 for a failing verdict,
 2 for usage, validation or precondition errors.  Identical inputs and
 flags produce byte-identical primary output.  The environment variable
-ACTALAB_MAX_CELLS (default 10^8) caps the |S|^2 * |A| * |B| work estimate
-of a command before it starts.
+ACTALAB_MAX_CELLS (default 10^8, a positive integer) caps the
+|S|^2 * |A| * |B| work estimate of a command before it starts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .conditions import (
 )
 from .errors import ActalabError
 from .monoid import FiniteMonoid
-from .replacement import replacement_skeletons, verify_replacement
+from .replacement import replacement_skeletons, verify_replacements
 from .serialize import (
     act_from_dict,
     act_to_dict,
@@ -55,10 +55,15 @@ class BudgetExceeded(ActalabError):
 
 def _budget() -> int:
     raw = os.environ.get("ACTALAB_MAX_CELLS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_CELLS
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_CELLS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ActalabError(f"ACTALAB_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _guard(n_s: int, n_a: int, n_b: int):
@@ -245,7 +250,7 @@ def _cmd_replace_verify(args) -> int:
         pairs = [(s, t)]
     else:
         pairs = INTERPOLATION_CLASSES[cid].params(M)
-    reports = [verify_replacement(B, s, t, cid) for s, t in pairs]
+    reports = verify_replacements(B, pairs, cid)
     lines = [
         f"({rep.s},{rep.t}): {rep.status}, {len(rep.instances)} instances"
         for rep in reports

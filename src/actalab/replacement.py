@@ -84,16 +84,34 @@ class ReplacementReport:
 def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementReport:
     """Replace every trigger instance of B, reporting the skeleton used and a
     validated tossing per instance.  Acts outside the class are inapplicable."""
+    return verify_replacements(B, [(s, t)], class_id)[0]
+
+
+def verify_replacements(B: Act, pairs, class_id: str) -> list[ReplacementReport]:
+    """`verify_replacement` for each parameter pair in turn, deciding the
+    class of B once for all of them."""
     if B.side != "left":
         raise SideMismatchError("replacement verification runs on left acts")
     M = B.monoid
-    rset = replacement_skeletons(M, s, t, class_id)
-    cid = rset.class_id
+    rsets = [replacement_skeletons(M, s, t, class_id) for s, t in pairs]
+    if not rsets:
+        return []
+    cid = rsets[0].class_id
+    if not check_condition(B, cid).holds:
+        return [
+            ReplacementReport(cid, M.label(r.s), M.label(r.t), "inapplicable", [])
+            for r in rsets
+        ]
+    S_right = regular_act(M, "right")
+    return [_replace_instances(B, S_right, rset) for rset in rsets]
+
+
+def _replace_instances(B: Act, S_right: Act, rset: ReplacementSet) -> ReplacementReport:
+    """The replacement sweep of one parameter pair over an act in the class."""
+    M = B.monoid
+    s, t, cid = rset.s, rset.t, rset.class_id
     cls = INTERPOLATION_CLASSES[cid]
     sl, tl = M.label(s), M.label(t)
-    if not check_condition(B, cid).holds:
-        return ReplacementReport(cid, sl, tl, "inapplicable", [])
-    S_right = regular_act(M, "right")
     # the A-side chain of each replacement skeleton connects s to t inside S
     delta_wits = {}
     for sk in rset.skeletons:

@@ -390,7 +390,7 @@ def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _standard_parts(M: FiniteMonoid, entries: tuple[int, ...]):
     sk = Skeleton(entries)
     m = sk.length
@@ -413,7 +413,7 @@ def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int,
     return Q, marks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]):
     """Cached ([x]S ∪ [x']S, position of [x], position of [x']) for a skeleton."""
     Q, marks = standard_tossing_act(M, Skeleton(entries))

@@ -1,6 +1,9 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import actalab as al
 from actalab.act import _law_violation
@@ -9,6 +12,7 @@ from actalab.axioms import (
     Sentence,
     Term,
     act_axioms,
+    check_table,
     model_check_table,
     satisfies_all,
     sentence_to_text,
@@ -165,6 +169,13 @@ def test_sentence_text_round_shape(z2):
     assert any("∃" in t and "→" in t for t in texts)
 
 
+def _all_sentences(M):
+    out = list(torsion_free_axioms(M))
+    for cls in ("P", "E", "EP", "W", "PWP"):
+        out.extend(al.emit_axioms(M, cls).sentences)
+    return out
+
+
 def test_all_emitted_sentences_are_well_formed(zoo_monoids, left_zero):
     """Every variable occurring in a term is bound by a quantifier prefix."""
     def term_vars(sent):
@@ -179,9 +190,136 @@ def test_all_emitted_sentences_are_well_formed(zoo_monoids, left_zero):
             yield eq.rhs.var
 
     for M in list(zoo_monoids) + [left_zero]:
-        sentences = list(torsion_free_axioms(M))
-        for cls in ("P", "E", "EP", "W", "PWP"):
-            sentences.extend(al.emit_axioms(M, cls).sentences)
-        for sent in sentences:
+        for sent in _all_sentences(M):
             bound = set(sent.forall) | set(sent.exists)
             assert set(term_vars(sent)) <= bound, sent.name
+
+
+def test_plans_match_walker_on_small_acts(zoo_monoids, left_zero):
+    """The compiled plans give the walker's verdict and counterexample for
+    every act-law, torsion and emitted sentence on every act of size <=3."""
+    for M in list(zoo_monoids) + [left_zero]:
+        sentences = _all_sentences(M)
+        for B in al.enumerate_acts(M, "left", 3):
+            for sent in sentences:
+                expected = model_check_table(M, B.table, sent)
+                assert check_table(B.table, sent) == expected, (M.name, B.table, sent.name)
+
+
+def _variants(sent):
+    """The sentence with every equation mirrored, and with the second
+    equation of each disjunct moved onto a second exists variable."""
+    def mirror(eqs):
+        return tuple(Equation(eq.rhs, eq.lhs) for eq in eqs)
+
+    def split(conj):
+        return conj[:1] + tuple(Equation(eq.lhs, Term(eq.rhs.word, "w")) for eq in conj[1:])
+
+    yield replace(sent, antecedent=mirror(sent.antecedent),
+                  consequent=tuple(map(mirror, sent.consequent)))
+    yield replace(sent, exists=sent.exists + ("w",),
+                  consequent=tuple(map(split, sent.consequent)))
+
+
+def test_plans_match_walker_on_sentence_variants(zoo_monoids, left_zero):
+    """Shapes that no schema emits: triggers written y-side first, and
+    disjuncts over two exists variables."""
+    for M in list(zoo_monoids) + [left_zero]:
+        variants = [
+            v for cls in ("P", "E", "EP", "W", "PWP")
+            for sent in al.emit_axioms(M, cls).sentences if sent.kind == "implication"
+            for v in _variants(sent)
+        ]
+        for B in al.enumerate_acts(M, "left", 3):
+            for sent in variants:
+                assert check_table(B.table, sent) == model_check_table(M, B.table, sent)
+
+
+def test_plans_match_walker_on_law_breaking_tables(z2, null2):
+    """Raw tables, most of them no act, with rows given as lists."""
+    for M in (z2, null2):
+        sentences = _all_sentences(M)
+        for k in (1, 2):
+            rows = list(product(range(k), repeat=k))
+            for table in product(rows, repeat=M.size):
+                table = [list(row) for row in table]
+                for sent in sentences:
+                    assert check_table(table, sent) == model_check_table(M, table, sent)
+
+
+def test_plan_rejects_unbound_and_twice_bound_variables(z2):
+    B = al.regular_act(z2, "left")
+    unbound = Sentence("free", ("x",), "equation",
+                       Equation(Term((1,), "x"), Term((), "y")))
+    twice = Sentence("twice", ("x",), "implication", antecedent=(),
+                     exists=("x",), consequent=())
+    for sent in (unbound, twice):
+        with pytest.raises(ValidationError):
+            al.model_check(B, sent)
+
+
+def test_plan_composes_long_words(z3):
+    """Words far longer than the recursion limit compose row by row."""
+    B = al.regular_act(z3, "left")
+    g = z3.index("g")
+    for n in (3000, 3001):
+        sent = Sentence("long", ("x",), "equation",
+                        Equation(Term((g,) * n, "x"), Term((), "x")))
+        assert al.model_check(B, sent) == (n % 3 == 0, None if n % 3 == 0 else {"x": "1"})
+
+
+_FORALL = ("x", "y", "w")
+_EXISTS = ("z", "v")
+# (kind, forall variables, antecedent equations, exists variables)
+_SHAPES = [(kind, n, 0, 0) for kind in ("equation", "inequation") for n in (1, 2, 3)]
+_SHAPES += [("implication", *shape) for shape in product((1, 2, 3), (0, 1, 2), (0, 1, 2))]
+
+
+@st.composite
+def _sentence_and_table(draw):
+    """A raw table over 1..3 rows and 1..3 points, and a sentence with 1..3
+    forall and 0..2 exists variables: an equation, an inequation, or an
+    implication with 0..2 antecedent equations and 0..3 disjuncts."""
+    n_rows = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    # uniform entries: tables of Hypothesis's favoured small values are
+    # mostly constant, and constant rows hide the order of a search
+    rng = draw(st.randoms(use_true_random=False))
+    table = [[rng.randrange(k) for _ in range(k)] for _ in range(n_rows)]
+    kind, n, n_ante, m = draw(st.sampled_from(_SHAPES))
+    forall, exists = _FORALL[:n], _EXISTS[:m]
+    words = st.lists(st.integers(0, n_rows - 1), max_size=2).map(tuple)
+
+    def equation(lhs_names, rhs_names):
+        return st.builds(
+            Equation,
+            st.builds(Term, words, st.sampled_from(lhs_names)),
+            st.builds(Term, words, st.sampled_from(rhs_names)),
+        )
+
+    if kind != "implication":
+        return table, Sentence("s", forall, kind, draw(equation(forall, forall)))
+    antecedent = tuple(draw(equation(forall, forall)) for _ in range(n_ante))
+    # right-hand sides lean to exists variables, so that most disjuncts pair
+    # forall-side terms with exists-side terms, in either orientation
+    conj = st.lists(equation(forall + exists, exists or forall), max_size=3).map(tuple)
+    consequent = tuple(draw(st.lists(conj, max_size=3)))
+    return table, Sentence("s", forall, kind, antecedent=antecedent,
+                           exists=exists, consequent=consequent)
+
+
+@settings(max_examples=200)
+@given(_sentence_and_table())
+def test_plan_matches_walker_on_random_sentences(case):
+    """Verdict and counterexample agree for the sentence and, so that the
+    trigger search and each disjunct are compared on their own, for its
+    variants with no disjunct and with one disjunct."""
+    table, sent = case
+    variants = [sent]
+    if sent.kind == "implication":
+        variants += [replace(sent, consequent=()), *(
+            replace(sent, consequent=(conj,)) for conj in sent.consequent
+        )]
+    for variant in variants:
+        # the walker reads only the table; any monoid will do for its signature
+        assert check_table(table, variant) == model_check_table(None, table, variant)

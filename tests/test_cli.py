@@ -112,6 +112,18 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
             "--sentences", str(out),
         ]
     ) == 0
+    data = json.loads(out.read_text())
+    data["sentences"][0]["equation"]["rhs"]["var"] = "q"
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(
+        [
+            "axioms", "modelcheck", "--act", left, "--monoid", z2_file,
+            "--sentences", str(out),
+        ]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unbound variable 'q'" in captured.err
 
 
 def test_axioms_verify(z2_file):
@@ -182,6 +194,19 @@ def test_budget_guard(z2_file, z2_acts, monkeypatch, capsys):
     assert "ACTALAB_MAX_CELLS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
+def test_budget_rejects_bad_values(z2_file, z2_acts, monkeypatch, capsys, raw):
+    left, _ = z2_acts
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", raw)
+    code = run_command(
+        ["check", "--condition", "p", "--monoid", z2_file, "--act", left]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ACTALAB_MAX_CELLS" in captured.err and repr(raw) in captured.err
+    assert "exceeds" not in captured.err
+
+
 def test_usage_error_is_exit_2():
     assert run_command(["check", "--condition", "nonsense"]) == 2
 
@@ -243,3 +268,34 @@ def test_malformed_json_reports_location(tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert run_command(["monoid", "validate", "/nonexistent/m.json"]) == 2
+
+
+def test_replace_verify_decides_the_class_once(tmp_path, natmin3, monkeypatch, capsys):
+    """Without --s, one decider call serves all |S|^2 parameter pairs."""
+    import actalab.replacement as replacement
+
+    mfile = tmp_path / "natmin3.json"
+    dump_json(monoid_to_dict(natmin3), mfile)
+    B = next(
+        B for B in al.enumerate_acts(natmin3, "left", 3)
+        if B.size == 3 and al.check_condition(B, "P").holds
+    )
+    afile = tmp_path / "b.json"
+    dump_json(act_to_dict(B), afile)
+    argv = ["replace", "verify", "--class", "p", "--monoid", str(mfile),
+            "--act", str(afile), "--json"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return al.check_condition(*args, **kwargs)
+
+    monkeypatch.setattr(replacement, "check_condition", counting)
+    assert run_command(argv) == 0
+    assert len(calls) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == natmin3.size ** 2
+    assert reports == [
+        al.verify_replacement(B, s, t, "P").to_dict()
+        for s in natmin3.elements() for t in natmin3.elements()
+    ]
