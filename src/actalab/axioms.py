@@ -221,17 +221,15 @@ class _RowVectors(dict):
     Rows may be lists or tuples; vectors are always tuples."""
 
     def __init__(self, table):
-        super().__init__({(): tuple(range(len(table[0]) if table else 0))})
+        super().__init__()
         self.table = table
+        self.k = len(table[0]) if table else 0
 
     def __missing__(self, word):
-        # compose onto the longest suffix built so far; () is always there
-        i = 1
-        while word[i:] not in self:
-            i += 1
-        vec = self[word[i:]]
-        for j in reversed(range(i)):
-            vec = self[word[j:]] = tuple(map(self.table[word[j]].__getitem__, vec))
+        vec = tuple(range(self.k))
+        for s in reversed(word):
+            vec = tuple(map(self.table[s].__getitem__, vec))
+        self[word] = vec
         return vec
 
 
@@ -286,7 +284,7 @@ class _Plan:
     def first_failure(self, vecs: _RowVectors) -> tuple[int, ...] | None:
         """The first forall assignment, in product order, at which the
         sentence fails on the table of `vecs`; None when it holds."""
-        k = len(vecs[()])
+        k = vecs.k
         if self.kind not in ("equation", "inequation"):
             return self._first_implication_failure(vecs, k)
         (i, wl), (j, wr) = self.equation
@@ -305,36 +303,20 @@ class _Plan:
 
     def _triggers(self, vecs: _RowVectors, k: int) -> list[tuple[int, ...]]:
         """The forall assignments that satisfy the antecedent, in product order."""
-        ante = [(i, vecs[wl], j, vecs[wr]) for (i, wl), (j, wr) in self.antecedent]
-        if len(ante) == 1 and self.n <= 2:
-            i, L, j, R = ante[0]
-            if i == j and self.n == 1:
-                return [(x,) for x in range(k) if L[x] == R[x]]
-            if i != j:
-                if i:
-                    L, R = R, L
-                at: dict[int, list[int]] = {}
-                for y, v in enumerate(R):
-                    at.setdefault(v, []).append(y)
-                return [(x, y) for x, v in enumerate(L) for y in at.get(v, ())]
-        return [
-            a for a in product(range(k), repeat=self.n)
-            if all(L[a[i]] == R[a[j]] for i, L, j, R in ante)
-        ]
+        triggers = list(product(range(k), repeat=self.n))
+        for (i, wl), (j, wr) in self.antecedent:
+            L, R = vecs[wl], vecs[wr]
+            triggers = [a for a in triggers if L[a[i]] == R[a[j]]]
+        return triggers
 
     def _reach(self, vecs: _RowVectors, k: int, disjuncts) -> set[tuple[int, ...]]:
         """The tuples of exists-side values that some exists assignment gives
         one of the grouped disjuncts."""
         n, out = self.n, set()
+        zss = list(product(range(k), repeat=self.m))
         for eterms in disjuncts:
-            cols = [(q - n, vecs[w]) for q, w in eterms]
-            if self.m == 1 and cols:
-                out.update(zip(*(vec for _, vec in cols)))
-            else:
-                out.update(
-                    tuple(vec[zs[q]] for q, vec in cols)
-                    for zs in product(range(k), repeat=self.m)
-                )
+            cols = [map(vecs[w].__getitem__, map(itemgetter(q - n), zss)) for q, w in eterms]
+            out.update(zip(*cols) if cols else repeat((), len(zss)))
         return out
 
     def _first_implication_failure(self, vecs, k):
