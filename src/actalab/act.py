@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -214,20 +214,6 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
     return ActCongruence(act, tuple(block_of), blocks)
 
 
-def is_act_congruence(act: Act, block_of: Sequence[int]) -> bool:
-    """Whether a partition (as a block-index map) is action-compatible."""
-    k = act.size
-    for s in act.monoid.elements():
-        row = act.table[s]
-        rep_image: dict[int, int] = {}
-        for a in range(k):
-            b = block_of[a]
-            img = block_of[row[a]]
-            if rep_image.setdefault(b, img) != img:
-                return False
-    return True
-
-
 def quotient_act(act: Act, cong: ActCongruence) -> tuple[Act, ActMorphism]:
     """The act on congruence blocks plus the canonical projection."""
     if cong.act != act:
@@ -275,30 +261,19 @@ def restrict_act(act: Act, members: Iterable[int]) -> tuple[Act, dict[int, int]]
     return Act(act.monoid, act.side, names, table), pos
 
 
-def _canonical_table(table: tuple[tuple[int, ...], ...], k: int) -> tuple:
-    """Lexicographically smallest relabelling of a table over carrier permutations."""
-    from itertools import permutations
-
-    best = None
-    for perm in permutations(range(k)):
-        inv = [0] * k
-        for i, p in enumerate(perm):
-            inv[p] = i
-        cand = tuple(tuple(perm[row[inv[a]]] for a in range(k)) for row in table)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def enumerate_acts(
     M: FiniteMonoid, side: str, max_size: int, distinct: bool = False
 ) -> Iterator[Act]:
     """Yield every act on carriers of size 1..max_size, in deterministic order.
 
-    Rows (one per non-identity element) are assigned in element order with
-    incremental law checking, so pruning happens as early as possible.  With
-    distinct=True only the lexicographically-canonical member of each
-    isomorphism class is emitted.
+    Rows (one per non-identity element) are assigned in element order, so
+    tables come in lexicographic order.  Each row is drawn from the rows that
+    obey its own law with the identity (x·x = 1 or x·x = x), narrowed entry by
+    entry by the laws whose other rows are already fixed, and then checked
+    against every act law it completes.  With distinct=True only the
+    lexicographically-canonical member of each isomorphism class is emitted:
+    the search is orderly, cutting a prefix as soon as some carrier
+    relabelling maps it onto a smaller one (McKay, J. Algorithms 26, 1998).
     """
     if max_size < 1:
         raise ValidationError("max_size must be at least 1")
@@ -308,15 +283,53 @@ def enumerate_acts(
         yield from _enumerate_size(M, side, k, distinct)
 
 
+def _row_trie(rows: Iterable[tuple[int, ...]]) -> dict:
+    """Rows as a prefix tree: one dict level per entry, the row itself as leaf."""
+    trie: dict = {}
+    for row in rows:
+        node = trie
+        for v in row[:-1]:
+            node = node.setdefault(v, {})
+        node[row[-1]] = row
+    return trie
+
+
+def _rows_within(trie: dict, domains: Sequence[Sequence[int]]) -> list:
+    """The rows of a trie whose entry a lies in domains[a], in lexicographic
+    order when each domain is sorted."""
+    level = [trie]
+    for values in domains:
+        level = [
+            child for node in level for v in values
+            if (child := node.get(v)) is not None
+        ]
+    return level
+
+
 def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Iterator[Act]:
     n = M.size
     e = M.identity
     order = [i for i in range(n) if i != e]
     mul = M.mul
     left = side == "left"
+    names = tuple(f"a{i}" for i in range(k))
+    if not order:  # the trivial monoid: its one act is canonical
+        yield Act(M, side, names, (tuple(range(k)),))
+        return
 
-    # triples (s,t) whose law becomes fully determined once `order[p]` lands
+    # the row of comp(f, g) is the map rows[f] after rows[g]
+    def comp(f: int, g: int) -> int:
+        return mul[f][g] if left else mul[g][f]
+
+    # triples (s,t) whose law becomes fully determined once `order[p]` lands;
+    # and, per position, the laws whose other rows are already fixed, which
+    # narrow each entry of the new row x before any candidate is tried:
+    #   forced   x = f∘g           x(a) = f(g(a))
+    #   preimage f∘x = h           x(a) in f^-1(h(a))
+    #   pinned   x∘g = h           x(g(a)) = h(a)
+    #   fixing   f∘x = x           x(a) in Fix(f)
     check_plan: list[list[tuple[int, int]]] = []
+    forced, preimage, pinned, fixing = [], [], [], []
     assigned = {e}
     for x in order:
         now = assigned | {x}
@@ -327,12 +340,61 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
             if mul[s][t] in now and x in (s, t, mul[s][t])
         ]
         check_plan.append(todo)
+        fixed = sorted(assigned - {e})
+        forced.append([(f, g) for f in fixed for g in fixed if comp(f, g) == x])
+        preimage.append([(f, comp(f, x)) for f in fixed if comp(f, x) in assigned])
+        pinned.append([(g, comp(x, g)) for g in fixed if comp(x, g) in assigned])
+        fixing.append([f for f in fixed if comp(f, x) == x])
         assigned.add(x)
 
+    # Per-size row lists: the one law on x and the identity alone is x·x = 1
+    # or x·x = x, so x's row is an involution or idempotent.  Rows under the
+    # same law share one trie, and no list of all k^k rows is kept.
+    square_law = {
+        "involution": lambda r: all(r[v] == a for a, v in enumerate(r)),
+        "idempotent": lambda r: all(r[v] == v for v in r),
+        None: lambda r: True,
+    }
+    by_law: dict = {}
+    tries = {}
+    for x in order:
+        sq = mul[x][x]
+        law = "involution" if sq == e else "idempotent" if sq == x else None
+        if law not in by_law:
+            every_row = product(range(k), repeat=k)
+            by_law[law] = _row_trie(filter(square_law[law], every_row))
+        tries[x] = by_law[law]
+
+    full = (1 << k) - 1
+    points_in = [[v for v in range(k) if m >> v & 1] for m in range(1 << k)]
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[e] = tuple(range(k))
-    names = tuple(f"a{i}" for i in range(k))
-    candidates = list(product(range(k), repeat=k))
+
+    def domains(pos: int) -> list[list[int]]:
+        """The values each entry of the row at `pos` may take, as bitmasks
+        narrowed by the laws with the assigned rows, then as sorted lists."""
+        allowed = [full] * k
+        for f, g in forced[pos]:
+            F, G = rows[f], rows[g]
+            for a in range(k):
+                allowed[a] &= 1 << F[G[a]]
+        for f, h in preimage[pos]:
+            F, H = rows[f], rows[h]
+            pre = [0] * k
+            for a in range(k):
+                pre[F[a]] |= 1 << a
+            for a in range(k):
+                allowed[a] &= pre[H[a]]
+        for g, h in pinned[pos]:
+            G, H = rows[g], rows[h]
+            for a in range(k):
+                allowed[G[a]] &= 1 << H[a]
+        for f in fixing[pos]:
+            F = rows[f]
+            fix = sum(1 << v for v in range(k) if F[v] == v)
+            for a in range(k):
+                allowed[a] &= fix
+        return [points_in[m] for m in allowed]
 
     def consistent(pairs):
         for s, t in pairs:
@@ -350,21 +412,42 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     def emit() -> Act:
         return Act(M, side, names, tuple(rows))  # type: ignore[arg-type]
 
-    def backtrack(pos: int) -> Iterator[Act]:
+    # Orderly generation: a relabelling p maps row r to r^p with
+    # r^p[p(a)] = p(r[a]), and fixes the identity row.  Rows are assigned in
+    # the table's lexicographic order, so once some p maps the assigned
+    # prefix onto a smaller one, no completion is canonical.  `stab` holds
+    # the relabellings that map the prefix onto itself: only they can still
+    # make a later row smaller.
+    def backtrack(pos: int, stab) -> Iterator[Act]:
         if pos == len(order):
-            act = emit()
-            if distinct:
-                canon = _canonical_table(act.table, k)
-                if act.table != canon:
-                    return
-            yield act
+            yield emit()
             return
         x = order[pos]
         plan = check_plan[pos]
-        for cand in candidates:
+        for cand in _rows_within(tries[x], domains(pos)):
             rows[x] = cand
-            if consistent(plan):
-                yield from backtrack(pos + 1)
+            if not consistent(plan):
+                continue
+            if stab is None:
+                yield from backtrack(pos + 1, None)
+                continue
+            kept = []
+            for perm, inv in stab:
+                image = tuple([perm[cand[i]] for i in inv])
+                if image < cand:
+                    break
+                if image == cand:
+                    kept.append((perm, inv))
+            else:
+                yield from backtrack(pos + 1, kept)
         rows[x] = None
 
-    yield from backtrack(0)
+    relabellings = None
+    if distinct:
+        relabellings = []
+        for perm in permutations(range(k)):
+            inv = [0] * k
+            for i, p in enumerate(perm):
+                inv[p] = i
+            relabellings.append((perm, inv))
+    yield from backtrack(0, relabellings)

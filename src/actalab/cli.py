@@ -4,7 +4,9 @@ Exit codes: 0 for success or a holding verdict, 1 for a failing verdict,
 2 for usage, validation or precondition errors.  Identical inputs and
 flags produce byte-identical primary output.  The environment variable
 ACTALAB_MAX_CELLS (default 10^8, a positive integer) caps the
-|S|^2 * |A| * |B| work estimate of a command before it starts.
+|S|^2 * |A| * |B| work estimate of a command before it starts, and for
+`enumerate` and `axioms verify` also the (|S|-1) * k^k row candidates at the
+largest carrier size k and, with --distinct, the k! carrier relabellings.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import os
 import sys
 from itertools import islice
+from math import factorial
 
 from . import zoo
 from .act import Act, enumerate_acts
@@ -66,14 +69,28 @@ def _budget() -> int:
     return cap
 
 
-def _guard(n_s: int, n_a: int, n_b: int):
-    estimate = n_s * n_s * n_a * n_b
+def _check_estimate(name: str, estimate: int) -> None:
     cap = _budget()
     if estimate > cap:
         raise BudgetExceeded(
-            f"work estimate |S|^2*|A|*|B| = {estimate} exceeds "
-            f"ACTALAB_MAX_CELLS = {cap}"
+            f"work estimate {name} = {estimate} exceeds ACTALAB_MAX_CELLS = {cap}"
         )
+
+
+def _guard(n_s: int, n_a: int, n_b: int):
+    _check_estimate("|S|^2*|A|*|B|", n_s * n_s * n_a * n_b)
+
+
+def _guard_enumeration(n_s: int, k: int, distinct: bool):
+    """Besides |S|^2*k^2, the exponential terms of enumerating every act up
+    to size k: the row candidates at the largest size and, for one act per
+    isomorphism class, the carrier relabellings.  The first term bounds k
+    before k^k is computed; a k below 1 is left to `enumerate_acts`."""
+    _guard(n_s, k, k)
+    if k >= 1:
+        _check_estimate("(|S|-1)*k^k", (n_s - 1) * k**k)
+        if distinct:
+            _check_estimate("k!", factorial(k))
 
 
 def _load_monoid(path: str) -> FiniteMonoid:
@@ -207,7 +224,7 @@ def _cmd_axioms_modelcheck(args) -> int:
 
 def _cmd_axioms_verify(args) -> int:
     M = _load_monoid(args.monoid)
-    _guard(M.size, args.max_size, args.max_size)
+    _guard_enumeration(M.size, args.max_size, False)
     report = verify_axiomatisation(M, args.cls, args.max_size)
     text = (
         f"class {report.class_id} over {report.monoid}: "
@@ -318,7 +335,7 @@ def _cmd_enumerate(args) -> int:
     import json as _json
 
     M = _load_monoid(args.monoid)
-    _guard(M.size, args.max_size, args.max_size)
+    _guard_enumeration(M.size, args.max_size, args.distinct)
     count = 0
     stream = enumerate_acts(M, args.side, args.max_size, distinct=args.distinct)
     if args.limit is not None:

@@ -181,18 +181,6 @@ def left_cancellable_elements(M: FiniteMonoid) -> tuple[int, ...]:
     return tuple(s for s in M.elements() if is_left_cancellable(M, s))
 
 
-def is_right_closed(M: FiniteMonoid, members: Iterable[int]) -> bool:
-    members = frozenset(members)
-    return all(M.mul[u][s] in members for u in members for s in M.elements())
-
-
-def is_pair_closed(M: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> bool:
-    pairs = frozenset(pairs)
-    return all(
-        (M.mul[u][s], M.mul[v][s]) in pairs for u, v in pairs for s in M.elements()
-    )
-
-
 Structure = Union[RightIdeal, PairSubact]
 
 
@@ -235,13 +223,6 @@ def min_generating_set(structure: Structure, M: FiniteMonoid | None = None):
     # every element of a finite preorder sits below some maximal class
     assert covered == set(items), "maximal classes failed to cover the structure"
     return tuple(chosen)
-
-
-def generated_right_ideal(M: FiniteMonoid, generators: Iterable[int]) -> RightIdeal:
-    members = set()
-    for g in generators:
-        members.update(M.mul[g][s] for s in M.elements())
-    return RightIdeal(M, frozenset(members))
 
 
 def generated_pair_subact(

@@ -95,16 +95,27 @@ def _term_to_dict(M: FiniteMonoid, term: Term) -> dict:
     return {"word": [M.element_names[s] for s in term.word], "var": term.var}
 
 
-def _term_from_dict(M: FiniteMonoid, data: dict) -> Term:
-    return Term(tuple(M.index(label) for label in data["word"]), data["var"])
+def _field(data, key: str, where: str):
+    """data[key], or a ValidationError naming the key and the sentence."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValidationError(f"{where} lacks the key {key!r}")
+    return data[key]
+
+
+def _term_from_dict(M: FiniteMonoid, data: dict, where: str) -> Term:
+    word = _field(data, "word", where)
+    return Term(tuple(M.index(label) for label in word), _field(data, "var", where))
 
 
 def _eq_to_dict(M, eq: Equation) -> dict:
     return {"lhs": _term_to_dict(M, eq.lhs), "rhs": _term_to_dict(M, eq.rhs)}
 
 
-def _eq_from_dict(M, data: dict) -> Equation:
-    return Equation(_term_from_dict(M, data["lhs"]), _term_from_dict(M, data["rhs"]))
+def _eq_from_dict(M, data: dict, where: str) -> Equation:
+    return Equation(
+        _term_from_dict(M, _field(data, "lhs", where), where),
+        _term_from_dict(M, _field(data, "rhs", where), where),
+    )
 
 
 def sentence_to_dict(M: FiniteMonoid, sentence: Sentence) -> dict:
@@ -125,21 +136,33 @@ def sentence_to_dict(M: FiniteMonoid, sentence: Sentence) -> dict:
     return out
 
 
+_SENTENCE_KINDS = ("equation", "inequation", "implication")
+
+
 def sentence_from_dict(M: FiniteMonoid, data: dict) -> Sentence:
-    kind = data["kind"]
+    name = _field(data, "name", "a sentence")
+    where = f"sentence {name!r}"
+    forall = tuple(_field(data, "forall", where))
+    kind = _field(data, "kind", where)
+    if kind not in _SENTENCE_KINDS:
+        raise ValidationError(
+            f"{where} has kind {kind!r}; expected one of {', '.join(_SENTENCE_KINDS)}"
+        )
     if kind in ("equation", "inequation"):
         return Sentence(
-            data["name"], tuple(data["forall"]), kind,
-            _eq_from_dict(M, data["equation"]),
+            name, forall, kind, _eq_from_dict(M, _field(data, "equation", where), where)
         )
     return Sentence(
-        data["name"],
-        tuple(data["forall"]),
+        name,
+        forall,
         kind,
-        antecedent=tuple(_eq_from_dict(M, eq) for eq in data["antecedent"]),
-        exists=tuple(data["exists"]),
+        antecedent=tuple(
+            _eq_from_dict(M, eq, where) for eq in _field(data, "antecedent", where)
+        ),
+        exists=tuple(_field(data, "exists", where)),
         consequent=tuple(
-            tuple(_eq_from_dict(M, eq) for eq in conj) for conj in data["consequent"]
+            tuple(_eq_from_dict(M, eq, where) for eq in conj)
+            for conj in _field(data, "consequent", where)
         ),
     )
 
@@ -159,7 +182,8 @@ def sentences_from_dict(data: dict, M: FiniteMonoid) -> tuple[Sentence, ...]:
         raise MonoidMismatchError(
             f"sentences reference monoid {data.get('monoid')!r}, loaded {M.name!r}"
         )
-    return tuple(sentence_from_dict(M, s) for s in data["sentences"])
+    sentences = _field(data, "sentences", "the sentence file")
+    return tuple(sentence_from_dict(M, s) for s in sentences)
 
 
 def tossing_to_dict(t: Tossing) -> dict:

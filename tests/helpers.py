@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own search strategies: generating
 sets are found by exhaustive subset search, tossing existence by full
-witness enumeration, congruence minimality by scanning every partition.
+witness enumeration, congruence minimality by scanning every partition,
+isomorphism-canonical acts by trying every carrier relabelling.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from actalab.monoid import PairSubact, RightIdeal
 
@@ -279,3 +280,49 @@ def replacement_shape_ok(rset) -> bool:
             if not good:
                 return False
     return True
+
+
+def canonical_table(table, k):
+    """Lexicographically smallest relabelling of a table over carrier permutations."""
+    best = None
+    for perm in permutations(range(k)):
+        inv = [0] * k
+        for i, p in enumerate(perm):
+            inv[p] = i
+        cand = tuple(tuple(perm[row[inv[a]]] for a in range(k)) for row in table)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def is_act_congruence(act, block_of) -> bool:
+    """Whether a partition (as a block-index map) is action-compatible."""
+    k = act.size
+    for s in act.monoid.elements():
+        row = act.table[s]
+        rep_image = {}
+        for a in range(k):
+            b = block_of[a]
+            img = block_of[row[a]]
+            if rep_image.setdefault(b, img) != img:
+                return False
+    return True
+
+
+def is_right_closed(M, members) -> bool:
+    members = frozenset(members)
+    return all(M.mul[u][s] in members for u in members for s in M.elements())
+
+
+def is_pair_closed(M, pairs) -> bool:
+    pairs = frozenset(pairs)
+    return all(
+        (M.mul[u][s], M.mul[v][s]) in pairs for u, v in pairs for s in M.elements()
+    )
+
+
+def generated_right_ideal(M, generators) -> RightIdeal:
+    members = set()
+    for g in generators:
+        members.update(M.mul[g][s] for s in M.elements())
+    return RightIdeal(M, frozenset(members))

@@ -2,19 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import actalab as al
-from actalab.act import (
-    free_base_point,
-    is_act_congruence,
-    morphism_is_valid,
-    _law_violation,
-)
+from actalab.act import free_base_point, morphism_is_valid, _law_violation
 from actalab.errors import (
     CompatibilityError,
     EmptyCarrierError,
     IdentityLawError,
 )
 from conftest import build_zoo
-from helpers import all_partitions
+from helpers import all_partitions, canonical_table, is_act_congruence
 
 
 def test_regular_act_valid(zoo_monoids):
@@ -264,25 +259,41 @@ def test_congruence_closure_matches_oracle_on_random_seeds(data):
     assert {frozenset(b) for b in cong.blocks} == _closure_by_iteration(act, seeds)
 
 
-def test_enumeration_matches_naive_filter(z2, null2, natmin3):
-    """Oracle: generate every raw table and keep the lawful ones."""
+def test_enumeration_matches_naive_filter(z2, null2, natmin3, left_zero):
+    """Oracle: every raw table in product order, kept when lawful, on both
+    sides; the distinct stream is that stream cut to its canonical tables.
+    left_zero is not commutative, so its left and right streams differ."""
     from itertools import product as iproduct
 
-    for M, k in [(z2, 3), (null2, 2), (natmin3, 2)]:
+    for M, k in [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3)]:
         rows = list(iproduct(range(k), repeat=k))
-        naive = []
-        for combo in iproduct(rows, repeat=M.size - 1):
-            table = [None] * M.size
-            table[M.identity] = tuple(range(k))
-            free = [i for i in range(M.size) if i != M.identity]
-            for slot, row in zip(free, combo):
-                table[slot] = row
-            if _law_violation(M, "left", tuple(table)) is None:
-                naive.append(tuple(table))
-        mine = [
-            a.table for a in al.enumerate_acts(M, "left", k) if a.size == k
-        ]
-        assert sorted(mine) == sorted(naive)
+        free = [i for i in range(M.size) if i != M.identity]
+        streams = {}
+        for side in ("left", "right"):
+            naive = []
+            for combo in iproduct(rows, repeat=len(free)):
+                table = [tuple(range(k))] * M.size
+                for slot, row in zip(free, combo):
+                    table[slot] = row
+                if _law_violation(M, side, tuple(table)) is None:
+                    naive.append(tuple(table))
+            mine = [a.table for a in al.enumerate_acts(M, side, k) if a.size == k]
+            assert mine == naive
+            distinct = [
+                a.table for a in al.enumerate_acts(M, side, k, distinct=True)
+                if a.size == k
+            ]
+            assert distinct == [t for t in naive if t == canonical_table(t, k)]
+            streams[side] = mine
+        if M is left_zero:
+            assert streams["left"] != streams["right"]
+
+
+def test_distinct_class_counts_to_size_five(semilattice22):
+    omega2 = al.build("inverse_omega_chain", n=2)
+    for M, counts in [(semilattice22, [1, 3, 6, 14, 27]), (omega2, [1, 3, 7, 17, 37])]:
+        sizes = [a.size for a in al.enumerate_acts(M, "left", 5, distinct=True)]
+        assert [sizes.count(k) for k in range(1, 6)] == counts
 
 
 def test_distinct_flag_counts_isomorphism_classes(z2, null2):

@@ -125,6 +125,47 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "unbound variable 'q'" in captured.err
 
+    # a missing key or an unknown kind is a diagnostic naming the key and
+    # the sentence, not a traceback and not a silent implication
+    def drop(*path):
+        def edit(sentences):
+            node = sentences
+            for step in path[:-1]:
+                node = node[step]
+            del node[path[-1]]
+        return edit
+
+    def set_kind(sentences):
+        sentences[-1]["kind"] = "implicaton"
+
+    cases = [
+        (drop(0, "kind"), "'kind'", "'unit'"),
+        (drop(0, "equation"), "'equation'", "'unit'"),
+        (drop(0, "equation", "lhs"), "'lhs'", "'unit'"),
+        (drop(0, "equation", "rhs", "word"), "'word'", "'unit'"),
+        (drop(0, "equation", "lhs", "var"), "'var'", "'unit'"),
+        (drop(-1, "antecedent"), "'antecedent'", "'W[g,g]'"),
+        (drop(-1, "exists"), "'exists'", "'W[g,g]'"),
+        (drop(-1, "consequent"), "'consequent'", "'W[g,g]'"),
+        (drop(-1, "consequent", 0, 1, "rhs", "var"), "'var'", "'W[g,g]'"),
+        (set_kind, "'implicaton'", "'W[g,g]'"),
+    ]
+    pristine = json.loads(out.read_text())
+    pristine["sentences"][0]["equation"]["rhs"]["var"] = "x"
+    for edit, key, name in cases:
+        data = json.loads(json.dumps(pristine))
+        edit(data["sentences"])
+        out.write_text(json.dumps(data))
+        assert run_command(
+            [
+                "axioms", "modelcheck", "--act", left, "--monoid", z2_file,
+                "--sentences", str(out),
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err and name in captured.err, captured.err
+
 
 def test_axioms_verify(z2_file):
     assert run_command(
@@ -181,6 +222,40 @@ def test_enumerate_jsonl(z2_file, capsys):
          "--max-size", "2", "--limit", "-1"]
     ) == 2
     assert "--limit" in capsys.readouterr().err
+
+
+def test_enumeration_guard_names_the_exponential_term(
+    z2_file, trivial, tmp_path, monkeypatch, capsys
+):
+    # |S|^2*k^2 = 324 passes; the 9^9 row candidates do not
+    for argv in (
+        ["enumerate", "--monoid", z2_file, "--side", "left", "--max-size", "9"],
+        ["axioms", "verify", "--class", "pwp", "--monoid", z2_file,
+         "--max-size", "9"],
+    ):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(|S|-1)*k^k = 387420489 exceeds" in captured.err
+    trivial_file = tmp_path / "trivial.json"
+    dump_json(monoid_to_dict(trivial), trivial_file)
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "1000")
+    argv = ["enumerate", "--monoid", str(trivial_file), "--side", "left",
+            "--max-size", "7"]
+    assert run_command(argv + ["--distinct"]) == 2
+    assert "k! = 5040 exceeds" in capsys.readouterr().err
+    assert run_command(argv) == 0
+    assert capsys.readouterr().err == "# 7 acts\n"
+
+
+def test_enumerate_output_below_the_guard(z2_file, z2, capsys):
+    assert run_command(
+        ["enumerate", "--monoid", z2_file, "--side", "left", "--max-size", "3"]
+    ) == 0
+    captured = capsys.readouterr()
+    acts = list(al.enumerate_acts(z2, "left", 3))
+    assert captured.out == "".join(json.dumps(act_to_dict(a)) + "\n" for a in acts)
+    assert captured.err == f"# {len(acts)} acts\n" == "# 7 acts\n"
 
 
 def test_budget_guard(z2_file, z2_acts, monkeypatch, capsys):

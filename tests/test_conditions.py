@@ -3,7 +3,7 @@ import pytest
 import actalab as al
 from actalab.conditions import all_right_ideals
 from actalab.errors import UnknownConditionError
-from helpers import condition_holds_brute, condition_violated
+from helpers import condition_holds_brute, condition_violated, is_right_closed
 
 
 def test_regular_act_satisfies_w_and_pwp(zoo_monoids):
@@ -170,8 +170,6 @@ def test_pwf_failure_witness_is_genuine(null2, natmin3):
 
 
 def test_all_right_ideals_are_ideals(zoo_monoids):
-    from actalab.monoid import is_right_closed
-
     for M in zoo_monoids:
         ideals = all_right_ideals(M)
         assert all(is_right_closed(M, members) for members in ideals)

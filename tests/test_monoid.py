@@ -8,9 +8,15 @@ from actalab.errors import (
     NonAssociativeError,
     ValidationError,
 )
-from actalab.monoid import generated_pair_subact, generated_right_ideal
+from actalab.monoid import generated_pair_subact
 from conftest import build_zoo
-from helpers import brute_min_generators, generates
+from helpers import (
+    brute_min_generators,
+    generated_right_ideal,
+    generates,
+    is_pair_closed,
+    is_right_closed,
+)
 
 
 def test_validate_trivial_monoid():
@@ -174,8 +180,6 @@ def test_r_and_R_symmetry(data):
 
 @given(st.data())
 def test_closure_invariants(data):
-    from actalab.monoid import is_pair_closed, is_right_closed
-
     M = data.draw(st.sampled_from(build_zoo()))
     s = data.draw(st.integers(0, M.size - 1))
     t = data.draw(st.integers(0, M.size - 1))
