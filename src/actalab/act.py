@@ -283,25 +283,28 @@ def enumerate_acts(
         yield from _enumerate_size(M, side, k, distinct)
 
 
-def _row_trie(rows: Iterable[tuple[int, ...]]) -> dict:
-    """Rows as a prefix tree: one dict level per entry, the row itself as leaf."""
-    trie: dict = {}
+def _row_trie(rows: Iterable[tuple[int, ...]], k: int) -> list:
+    """Rows as a prefix tree: one list of k slots per level, None where no
+    row continues, and the row itself as leaf."""
+    trie: list = [None] * k
     for row in rows:
         node = trie
         for v in row[:-1]:
-            node = node.setdefault(v, {})
+            if node[v] is None:
+                node[v] = [None] * k
+            node = node[v]
         node[row[-1]] = row
     return trie
 
 
-def _rows_within(trie: dict, domains: Sequence[Sequence[int]]) -> list:
+def _rows_within(trie: list, domains: Sequence[Sequence[int]]) -> list:
     """The rows of a trie whose entry a lies in domains[a], in lexicographic
     order when each domain is sorted."""
     level = [trie]
     for values in domains:
         level = [
             child for node in level for v in values
-            if (child := node.get(v)) is not None
+            if (child := node[v]) is not None
         ]
     return level
 
@@ -362,7 +365,7 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
         law = "involution" if sq == e else "idempotent" if sq == x else None
         if law not in by_law:
             every_row = product(range(k), repeat=k)
-            by_law[law] = _row_trie(filter(square_law[law], every_row))
+            by_law[law] = _row_trie(filter(square_law[law], every_row), k)
         tries[x] = by_law[law]
 
     full = (1 << k) - 1
@@ -409,9 +412,6 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
                         return False
         return True
 
-    def emit() -> Act:
-        return Act(M, side, names, tuple(rows))  # type: ignore[arg-type]
-
     # Orderly generation: a relabelling p maps row r to r^p with
     # r^p[p(a)] = p(r[a]), and fixes the identity row.  Rows are assigned in
     # the table's lexicographic order, so once some p maps the assigned
@@ -420,7 +420,7 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     # make a later row smaller.
     def backtrack(pos: int, stab) -> Iterator[Act]:
         if pos == len(order):
-            yield emit()
+            yield Act(M, side, names, tuple(rows))  # type: ignore[arg-type]
             return
         x = order[pos]
         plan = check_plan[pos]
@@ -443,11 +443,9 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
         rows[x] = None
 
     relabellings = None
-    if distinct:
-        relabellings = []
-        for perm in permutations(range(k)):
-            inv = [0] * k
-            for i, p in enumerate(perm):
-                inv[p] = i
-            relabellings.append((perm, inv))
+    if distinct:  # each with its inverse
+        relabellings = [
+            (perm, [perm.index(b) for b in range(k)])
+            for perm in permutations(range(k))
+        ]
     yield from backtrack(0, relabellings)

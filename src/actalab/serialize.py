@@ -95,16 +95,37 @@ def _term_to_dict(M: FiniteMonoid, term: Term) -> dict:
     return {"word": [M.element_names[s] for s in term.word], "var": term.var}
 
 
-def _field(data, key: str, where: str):
-    """data[key], or a ValidationError naming the key and the sentence."""
-    if not isinstance(data, dict) or key not in data:
+_JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}
+
+
+def _field(data, key: str, where: str, expected: type = list):
+    """data[key] of the expected JSON type, or a ValidationError naming the
+    key and the sentence."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} has a part that is not an object")
+    if key not in data:
         raise ValidationError(f"{where} lacks the key {key!r}")
+    if not isinstance(data[key], expected):
+        raise ValidationError(f"{where} has {key!r} that is not {_JSON_TYPES[expected]}")
     return data[key]
+
+
+def _names(data, key: str, where: str) -> tuple[str, ...]:
+    names = _field(data, key, where)
+    if not all(isinstance(v, str) for v in names):
+        raise ValidationError(f"{where} has {key!r} that is not a list of strings")
+    return tuple(names)
+
+
+def _eqs_from_list(M, eqs, where: str) -> tuple[Equation, ...]:
+    if not isinstance(eqs, list):
+        raise ValidationError(f"{where} has a conjunction that is not a list")
+    return tuple(_eq_from_dict(M, eq, where) for eq in eqs)
 
 
 def _term_from_dict(M: FiniteMonoid, data: dict, where: str) -> Term:
     word = _field(data, "word", where)
-    return Term(tuple(M.index(label) for label in word), _field(data, "var", where))
+    return Term(tuple(M.index(label) for label in word), _field(data, "var", where, str))
 
 
 def _eq_to_dict(M, eq: Equation) -> dict:
@@ -113,8 +134,8 @@ def _eq_to_dict(M, eq: Equation) -> dict:
 
 def _eq_from_dict(M, data: dict, where: str) -> Equation:
     return Equation(
-        _term_from_dict(M, _field(data, "lhs", where), where),
-        _term_from_dict(M, _field(data, "rhs", where), where),
+        _term_from_dict(M, _field(data, "lhs", where, dict), where),
+        _term_from_dict(M, _field(data, "rhs", where, dict), where),
     )
 
 
@@ -140,28 +161,27 @@ _SENTENCE_KINDS = ("equation", "inequation", "implication")
 
 
 def sentence_from_dict(M: FiniteMonoid, data: dict) -> Sentence:
-    name = _field(data, "name", "a sentence")
+    name = _field(data, "name", "a sentence", str)
     where = f"sentence {name!r}"
-    forall = tuple(_field(data, "forall", where))
-    kind = _field(data, "kind", where)
+    forall = _names(data, "forall", where)
+    kind = _field(data, "kind", where, str)
     if kind not in _SENTENCE_KINDS:
         raise ValidationError(
             f"{where} has kind {kind!r}; expected one of {', '.join(_SENTENCE_KINDS)}"
         )
     if kind in ("equation", "inequation"):
         return Sentence(
-            name, forall, kind, _eq_from_dict(M, _field(data, "equation", where), where)
+            name, forall, kind,
+            _eq_from_dict(M, _field(data, "equation", where, dict), where),
         )
     return Sentence(
         name,
         forall,
         kind,
-        antecedent=tuple(
-            _eq_from_dict(M, eq, where) for eq in _field(data, "antecedent", where)
-        ),
-        exists=tuple(_field(data, "exists", where)),
+        antecedent=_eqs_from_list(M, _field(data, "antecedent", where), where),
+        exists=_names(data, "exists", where),
         consequent=tuple(
-            tuple(_eq_from_dict(M, eq, where) for eq in conj)
+            _eqs_from_list(M, conj, where)
             for conj in _field(data, "consequent", where)
         ),
     )
@@ -178,11 +198,11 @@ def axiom_set_to_dict(axset: AxiomSet) -> dict:
 
 
 def sentences_from_dict(data: dict, M: FiniteMonoid) -> tuple[Sentence, ...]:
+    sentences = _field(data, "sentences", "the sentence file")
     if data.get("monoid") != M.name:
         raise MonoidMismatchError(
             f"sentences reference monoid {data.get('monoid')!r}, loaded {M.name!r}"
         )
-    sentences = _field(data, "sentences", "the sentence file")
     return tuple(sentence_from_dict(M, s) for s in sentences)
 
 

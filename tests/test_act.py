@@ -259,13 +259,25 @@ def test_congruence_closure_matches_oracle_on_random_seeds(data):
     assert {frozenset(b) for b in cong.blocks} == _closure_by_iteration(act, seeds)
 
 
+def _full_transformations_2():
+    """All four maps of {0,1} under composition (s·t)(p) = s(t(p)); the
+    constant map c1 = swap·c0 is a product of two earlier, non-commuting
+    elements, so its row is forced by theirs in an order that matters."""
+    maps = {"id": (0, 1), "swap": (1, 0), "c0": (0, 0), "c1": (1, 1)}
+    name_of = {m: n for n, m in maps.items()}
+    table = [[name_of[(s[t[0]], s[t[1]])] for t in maps.values()] for s in maps.values()]
+    return al.validate_monoid(list(maps), table, "id", name="T2")
+
+
 def test_enumeration_matches_naive_filter(z2, null2, natmin3, left_zero):
     """Oracle: every raw table in product order, kept when lawful, on both
     sides; the distinct stream is that stream cut to its canonical tables.
-    left_zero is not commutative, so its left and right streams differ."""
+    left_zero and T2 are not commutative, so their left and right streams
+    differ."""
     from itertools import product as iproduct
 
-    for M, k in [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3)]:
+    T2 = _full_transformations_2()
+    for M, k in [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3), (T2, 3)]:
         rows = list(iproduct(range(k), repeat=k))
         free = [i for i in range(M.size) if i != M.identity]
         streams = {}
@@ -285,7 +297,7 @@ def test_enumeration_matches_naive_filter(z2, null2, natmin3, left_zero):
             ]
             assert distinct == [t for t in naive if t == canonical_table(t, k)]
             streams[side] = mine
-        if M is left_zero:
+        if M in (left_zero, T2):
             assert streams["left"] != streams["right"]
 
 

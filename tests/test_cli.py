@@ -125,8 +125,8 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "unbound variable 'q'" in captured.err
 
-    # a missing key or an unknown kind is a diagnostic naming the key and
-    # the sentence, not a traceback and not a silent implication
+    # a missing or mistyped key, or an unknown kind, is a diagnostic naming
+    # the key and the sentence, not a traceback and not a silent implication
     def drop(*path):
         def edit(sentences):
             node = sentences
@@ -137,6 +137,18 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
 
     def set_kind(sentences):
         sentences[-1]["kind"] = "implicaton"
+
+    def set_word(sentences):
+        sentences[0]["equation"]["lhs"]["word"] = 5
+
+    def set_forall(sentences):
+        sentences[-1]["forall"] = [["x"]]
+
+    def set_conjunction(sentences):
+        sentences[-1]["consequent"][0] = 5
+
+    def set_sentence(sentences):
+        sentences[0] = "x"
 
     cases = [
         (drop(0, "kind"), "'kind'", "'unit'"),
@@ -149,6 +161,10 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
         (drop(-1, "consequent"), "'consequent'", "'W[g,g]'"),
         (drop(-1, "consequent", 0, 1, "rhs", "var"), "'var'", "'W[g,g]'"),
         (set_kind, "'implicaton'", "'W[g,g]'"),
+        (set_word, "'word'", "'unit'"),
+        (set_forall, "'forall'", "'W[g,g]'"),
+        (set_conjunction, "conjunction", "'W[g,g]'"),
+        (set_sentence, "object", "a sentence"),
     ]
     pristine = json.loads(out.read_text())
     pristine["sentences"][0]["equation"]["rhs"]["var"] = "x"
