@@ -6,7 +6,9 @@ flags produce byte-identical primary output.  The environment variable
 ACTALAB_MAX_CELLS (default 10^8, a positive integer) caps the
 |S|^2 * |A| * |B| work estimate of a command before it starts, and for
 `enumerate` and `axioms verify` also the (|S|-1) * k^k row candidates at the
-largest carrier size k and, with --distinct, the k! carrier relabellings.
+largest carrier size k and, with --distinct, the k! carrier relabellings;
+for `check --condition flat --flat-bound m` it caps the skeletons of length
+up to m times the pairs of B, (|S|^2 + ... + |S|^(2m)) * |B|^2.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ def _budget() -> int:
     return cap
 
 
-def _check_estimate(name: str, estimate: int) -> None:
+def _check_estimate(name: str, estimate: int, relation: str = "=") -> None:
     cap = _budget()
     if estimate > cap:
         raise BudgetExceeded(
-            f"work estimate {name} = {estimate} exceeds ACTALAB_MAX_CELLS = {cap}"
+            f"work estimate {name} {relation} {estimate} exceeds ACTALAB_MAX_CELLS = {cap}"
         )
 
 
@@ -91,6 +93,21 @@ def _guard_enumeration(n_s: int, k: int, distinct: bool):
         _check_estimate("(|S|-1)*k^k", (n_s - 1) * k**k)
         if distinct:
             _check_estimate("k!", factorial(k))
+
+
+def _guard_flat(n_s: int, n_b: int, m: int):
+    """(|S|^2 + ... + |S|^(2m)) * |B|^2: the skeletons of the bounded
+    flatness search times the pairs each may test.  With |S| >= 2 the term
+    |S|^(2k) alone passes the cap once 4^k does, so later terms are not
+    computed and the diagnostic gives a lower bound."""
+    if n_s == 1:
+        total, exact = m, True
+    else:
+        terms = min(m, _budget().bit_length() // 2 + 1)
+        total = sum(n_s ** (2 * k) for k in range(1, terms + 1))
+        exact = terms == m
+    _check_estimate("(|S|^2+...+|S|^(2m))*|B|^2", total * n_b * n_b,
+                    "=" if exact else ">=")
 
 
 def _load_monoid(path: str) -> FiniteMonoid:
@@ -175,6 +192,7 @@ def _cmd_check(args) -> int:
     elif cond == "wf":
         report = check_wf(B)
     elif cond == "flat":
+        _guard_flat(M.size, B.size, args.flat_bound)
         report = check_flat_bounded(B, args.flat_bound)
     elif cond.upper() in CONDITION_IDS:
         report = check_condition(B, cond.upper(), want_witnesses=args.witnesses)

@@ -26,7 +26,7 @@ from .monoid import (
     principal_right_ideal,
     r_set,
 )
-from .tensor import TensorProduct, Skeleton, gamma_pairs, standard_subact, tensor_product
+from .tensor import Skeleton, gamma_pairs, standard_subact, tensor_product
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -236,52 +236,53 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: chk.check(c) for c in conds}
 
 
-def _injective_on_classes(
-    sub: TensorProduct, full: TensorProduct, member_map
-) -> tuple[int, int] | None:
-    """Two sub-classes landing in one full-class, if any.
+def _c_flat(B: Act, principal: bool) -> ConditionReport:
+    """C-flatness: K ⊗ B embeds in S ⊗ B for every right ideal K in C, the
+    principal right ideals aS (PWF) or all non-empty right ideals (WF).
 
-    member_map sends a sub pair (a, b) to the corresponding full pair.
-    """
-    seen: dict[int, int] = {}
-    for ci, cls in enumerate(sub.classes):
-        fa, fb = member_map(*cls[0])
-        fc = full.class_index(fa, fb)
-        if fc in seen:
-            return (seen[fc], ci)
-        seen[fc] = ci
-    return None
-
-
-def check_pwf(B: Act) -> ConditionReport:
-    """Principal weak flatness: aS ⊗ B embeds in S ⊗ B for every a.
-
-    A failure is reported as (a, b, b2) with a ⊗ b = a ⊗ b2 in S ⊗ B but
-    not in aS ⊗ B, pulled back through the elementary step
-    (a*u, b) ~ (a, u*b); the raw separated pairs ride along.
+    K ⊗ B fails to embed when two of its classes land in one class of
+    S ⊗ B; the first member of each is reported as pair1 and pair2.  A PWF
+    failure also gives (a, b, b2) with a ⊗ b = a ⊗ b2 in S ⊗ B but not in
+    aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
     """
     _require_left(B)
     M = B.monoid
+    cid = "PWF" if principal else "WF"
     S_right = regular_act(M, "right")
     SB = tensor_product(S_right, B)
-    for a in M.elements():
-        members = sorted(principal_right_ideal(M, a).members)
-        K, pos = restrict_act(S_right, members)
-        KB = tensor_product(K, B)
-        bad = _injective_on_classes(KB, SB, lambda m, b: (members[m], b))
-        if bad is not None:
-            (m1, b1), (m2, b2) = KB.classes[bad[0]][0], KB.classes[bad[1]][0]
-            u1 = M.mul[a].index(members[m1])
-            u2 = M.mul[a].index(members[m2])
-            witness = {
-                "a": M.label(a),
-                "b": B.label(B.table[u1][b1]),
-                "b2": B.label(B.table[u2][b2]),
-                "pair1": [M.label(members[m1]), B.label(b1)],
-                "pair2": [M.label(members[m2]), B.label(b2)],
-            }
-            return ConditionReport("PWF", "fails", witness)
-    return ConditionReport("PWF", "holds")
+    if principal:
+        family = [(a, principal_right_ideal(M, a).members) for a in M.elements()]
+    else:
+        family = [(None, members) for members in all_right_ideals(M)]
+    for a, members in family:
+        members = sorted(members)
+        KB = tensor_product(restrict_act(S_right, members)[0], B)
+        seen: dict[int, tuple[int, int]] = {}
+        for cls in KB.classes:
+            k, b2 = cls[0]
+            k2 = members[k]
+            fc = SB.class_index(k2, b2)
+            if fc not in seen:
+                seen[fc] = (k2, b2)
+                continue
+            k1, b1 = seen[fc]
+            if principal:
+                witness = {
+                    "a": M.label(a),
+                    "b": B.label(B.table[M.mul[a].index(k1)][b1]),
+                    "b2": B.label(B.table[M.mul[a].index(k2)][b2]),
+                }
+            else:
+                witness = {"ideal": [M.label(k) for k in members]}
+            witness["pair1"] = [M.label(k1), B.label(b1)]
+            witness["pair2"] = [M.label(k2), B.label(b2)]
+            return ConditionReport(cid, "fails", witness)
+    return ConditionReport(cid, "holds")
+
+
+def check_pwf(B: Act) -> ConditionReport:
+    """Principal weak flatness: aS ⊗ B embeds in S ⊗ B for every a."""
+    return _c_flat(B, principal=True)
 
 
 def all_right_ideals(M: FiniteMonoid) -> list[frozenset[int]]:
@@ -302,24 +303,7 @@ def all_right_ideals(M: FiniteMonoid) -> list[frozenset[int]]:
 
 def check_wf(B: Act) -> ConditionReport:
     """Weak flatness: K ⊗ B embeds in S ⊗ B for every right ideal K."""
-    _require_left(B)
-    M = B.monoid
-    S_right = regular_act(M, "right")
-    SB = tensor_product(S_right, B)
-    for members_set in all_right_ideals(M):
-        members = sorted(members_set)
-        K, pos = restrict_act(S_right, members)
-        KB = tensor_product(K, B)
-        bad = _injective_on_classes(KB, SB, lambda m, b: (members[m], b))
-        if bad is not None:
-            (m1, b1), (m2, b2) = KB.classes[bad[0]][0], KB.classes[bad[1]][0]
-            witness = {
-                "ideal": [M.label(m) for m in members],
-                "pair1": [M.label(members[m1]), B.label(b1)],
-                "pair2": [M.label(members[m2]), B.label(b2)],
-            }
-            return ConditionReport("WF", "fails", witness)
-    return ConditionReport("WF", "holds")
+    return _c_flat(B, principal=False)
 
 
 def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:

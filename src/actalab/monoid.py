@@ -184,7 +184,7 @@ def left_cancellable_elements(M: FiniteMonoid) -> tuple[int, ...]:
 Structure = Union[RightIdeal, PairSubact]
 
 
-def min_generating_set(structure: Structure, M: FiniteMonoid | None = None):
+def min_generating_set(structure: Structure):
     """Minimum-cardinality generating set of a right-closed structure.
 
     Works on the generation preorder x <= y iff x in yS.  The orbit yS is
@@ -194,8 +194,7 @@ def min_generating_set(structure: Structure, M: FiniteMonoid | None = None):
     the lowest index (lexicographic for pairs), is therefore a true
     minimum.  The empty structure yields the empty tuple.
     """
-    if M is None:
-        M = structure.monoid
+    M = structure.monoid
     mul = M.mul
     els = range(M.size)
     if isinstance(structure, RightIdeal):

@@ -1,4 +1,4 @@
-"""JSON interchange for monoids, acts, skeletons, sentences and tossings.
+"""JSON interchange for monoids, acts, sentences and tossings.
 
 Formats:
 
@@ -6,7 +6,6 @@ Formats:
             "table": [[str]]}                  with table[i][j] = label of ei*ej
   act      {"monoid": str, "side": "left"|"right", "elements": [str],
             "action": {s_label: [carrier labels in carrier order]}}
-  skeleton {"skeleton": [labels]}
 
 Loading always revalidates, so a round-trip reproduces an equal value or
 raises the same diagnostics as direct construction.
@@ -21,7 +20,7 @@ from .act import Act, validate_act
 from .axioms import AxiomSet, Equation, Sentence, Term, sentence_to_text
 from .errors import MonoidMismatchError, ValidationError
 from .monoid import FiniteMonoid, validate_monoid
-from .tensor import Skeleton, Tossing
+from .tensor import Tossing
 
 
 def monoid_to_dict(M: FiniteMonoid) -> dict:
@@ -35,12 +34,14 @@ def monoid_to_dict(M: FiniteMonoid) -> dict:
 
 
 def monoid_from_dict(data: dict) -> FiniteMonoid:
-    for key in ("name", "elements", "identity", "table"):
-        if key not in data:
-            raise ValidationError(f"monoid JSON missing key {key!r}")
-    return validate_monoid(
-        data["elements"], data["table"], data["identity"], name=data["name"]
-    )
+    where = "the monoid JSON"
+    name = _field(data, "name", where, str)
+    elements = _names(data, "elements", where)
+    identity = _field(data, "identity", where, str)
+    table = _field(data, "table", where)
+    if not all(isinstance(row, list) and _strings(row) for row in table):
+        raise ValidationError(f"{where} has 'table' that is not a list of lists of strings")
+    return validate_monoid(elements, table, identity, name=name)
 
 
 def act_to_dict(act: Act) -> dict:
@@ -57,38 +58,26 @@ def act_to_dict(act: Act) -> dict:
 
 
 def act_from_dict(data: dict, M: FiniteMonoid) -> Act:
-    for key in ("monoid", "side", "elements", "action"):
-        if key not in data:
-            raise ValidationError(f"act JSON missing key {key!r}")
-    if data["monoid"] != M.name:
-        raise MonoidMismatchError(
-            f"act references monoid {data['monoid']!r}, loaded {M.name!r}"
-        )
-    carrier = list(data["elements"])
+    where = "the act JSON"
+    monoid = _field(data, "monoid", where, str)
+    side = _field(data, "side", where, str)
+    carrier = list(_names(data, "elements", where))
+    action = _field(data, "action", where, dict)
+    if monoid != M.name:
+        raise MonoidMismatchError(f"act references monoid {monoid!r}, loaded {M.name!r}")
     pos = {label: i for i, label in enumerate(carrier)}
-    action = data["action"]
     table = []
     for s_label in M.element_names:
         if s_label not in action:
             raise ValidationError(f"action row for {s_label!r} missing")
-        row = action[s_label]
+        row = _names(action, s_label, f"the action of {where}")
         if len(row) != len(carrier):
             raise ValidationError(f"action row for {s_label!r} has wrong length")
         try:
             table.append([pos[v] for v in row])
         except KeyError as exc:
             raise ValidationError(f"action value {exc.args[0]!r} not in carrier")
-    return validate_act(M, data["side"], carrier, table)
-
-
-def skeleton_to_dict(sk: Skeleton, M: FiniteMonoid) -> dict:
-    return {"skeleton": list(sk.labels(M))}
-
-
-def skeleton_from_dict(data: dict, M: FiniteMonoid) -> Skeleton:
-    if "skeleton" not in data:
-        raise ValidationError("skeleton JSON missing key 'skeleton'")
-    return Skeleton(tuple(M.index(label) for label in data["skeleton"]))
+    return validate_act(M, side, carrier, table)
 
 
 def _term_to_dict(M: FiniteMonoid, term: Term) -> dict:
@@ -100,7 +89,7 @@ _JSON_TYPES = {list: "a list", str: "a string", dict: "an object"}
 
 def _field(data, key: str, where: str, expected: type = list):
     """data[key] of the expected JSON type, or a ValidationError naming the
-    key and the sentence."""
+    key and where it sits."""
     if not isinstance(data, dict):
         raise ValidationError(f"{where} has a part that is not an object")
     if key not in data:
@@ -110,9 +99,13 @@ def _field(data, key: str, where: str, expected: type = list):
     return data[key]
 
 
+def _strings(values: list) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 def _names(data, key: str, where: str) -> tuple[str, ...]:
     names = _field(data, key, where)
-    if not all(isinstance(v, str) for v in names):
+    if not _strings(names):
         raise ValidationError(f"{where} has {key!r} that is not a list of strings")
     return tuple(names)
 

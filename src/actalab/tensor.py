@@ -14,6 +14,14 @@ equations certifying a ⊗ b = a' ⊗ b':
 with skeleton (s1,t1,...,sm,tm).  A tossing is exactly an alternating path
 in the elementary-step graph on A x B: each step moves one monoid element
 across the pair, and the two columns of the scheme are the R and L steps.
+
+Each column is one zigzag.  It starts from a value v0, and each step (q, p)
+picks an x with q*x = v(i-1) and moves on to v(i) = p*x, where q*x is
+x*q in a right act.  Steps are held flat, step i being (steps[2i],
+steps[2i+1]).  The left column (gamma) runs the skeleton's own steps
+(si, ti) from b to b'; the right column (delta) runs the skeleton without
+its two ends, the steps (ti, s(i+1)), from a*s1 to a'*tm.  Solving,
+checking and printing a column all read its steps.
 """
 
 from __future__ import annotations
@@ -99,19 +107,20 @@ class TensorProduct:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def _pair_index(self, a: int, b: int) -> int:
-        nb = self.left_act.size
-        if not (0 <= a < self.right_act.size):
-            raise ElementNotFoundError(str(a), "right act carrier")
-        if not (0 <= b < nb):
-            raise ElementNotFoundError(str(b), "left act carrier")
-        return a * nb + b
-
     def class_index(self, a: int, b: int) -> int:
-        return self.class_of[self._pair_index(a, b)]
+        return self.class_of[_pair_index(self.right_act, self.left_act, a, b)]
 
     def same_class(self, a: int, b: int, a2: int, b2: int) -> bool:
         return self.class_index(a, b) == self.class_index(a2, b2)
+
+
+def _pair_index(A: Act, B: Act, a: int, b: int) -> int:
+    """The index a*|B|+b of the pair (a, b) of A x B."""
+    if not (0 <= a < A.size):
+        raise ElementNotFoundError(str(a), "right act carrier")
+    if not (0 <= b < B.size):
+        raise ElementNotFoundError(str(b), "left act carrier")
+    return a * B.size + b
 
 
 def _check_sides(A: Act, B: Act):
@@ -163,6 +172,58 @@ def tensor_equal(T: TensorProduct, a: int, b: int, a2: int, b2: int) -> bool:
     return T.same_class(a, b, a2, b2)
 
 
+def _walk(table, steps, v0):
+    """Run a zigzag forward from v0 without fixing its witnesses.
+
+    Returns each step's layer, the x in carrier order whose q*x is a value
+    reached so far, and the set of values the last step reaches.
+    """
+    reach = {v0}
+    layers = []
+    for i in range(len(steps) // 2):
+        prow = table[steps[2 * i + 1]]
+        layer = []
+        nxt = set()
+        for x, v in enumerate(table[steps[2 * i]]):
+            if v in reach:
+                layer.append(x)
+                nxt.add(prow[x])
+        layers.append(layer)
+        reach = nxt
+    return layers, reach
+
+
+def _pick(table, steps, layers, end):
+    """Witnesses for a zigzag whose walk reaches `end`: walking back from
+    the end, the first x in each layer whose p*x is the value the next
+    step needs.  Among all witness tuples this is the one whose reverse is
+    lexicographically least."""
+    wits = []
+    for i in range(len(layers) - 1, -1, -1):
+        prow = table[steps[2 * i + 1]]
+        for x in layers[i]:
+            if prow[x] == end:
+                break
+        wits.append(x)
+        end = table[steps[2 * i]][x]
+    wits.reverse()
+    return tuple(wits)
+
+
+def _equations(table, steps, xs, first, last):
+    """The equations of a zigzag through the witnesses xs,
+    first = q1*x1, p1*x1 = q2*x2, ..., pk*xk = last, read off table[q][x]
+    as the list of their left sides and the list of their right sides.
+    The column holds when the lists are equal; where they differ first,
+    counting from 1, is the first broken equation."""
+    lhs, rhs = [first], []
+    for i, x in enumerate(xs):
+        rhs.append(table[steps[2 * i]][x])
+        lhs.append(table[steps[2 * i + 1]][x])
+    rhs.append(last)
+    return lhs, rhs
+
+
 def validate_tossing(t: Tossing) -> bool:
     """Re-check every defining equation of the scheme in its two acts."""
     A, B, sk = t.right_act, t.left_act, t.skeleton
@@ -171,17 +232,10 @@ def validate_tossing(t: Tossing) -> bool:
         return False
     a, b = t.start
     a2, b2 = t.end
-    achain = (a,) + t.a_witnesses + (a2,)
-    bs = t.b_witnesses
-    if B.table[sk.s(1)][bs[0]] != b:
-        return False
-    for i in range(1, m + 1):
-        if A.table[sk.s(i)][achain[i - 1]] != A.table[sk.t(i)][achain[i]]:
-            return False
-    for i in range(1, m):
-        if B.table[sk.t(i)][bs[i - 1]] != B.table[sk.s(i + 1)][bs[i]]:
-            return False
-    return B.table[sk.t(m)][bs[m - 1]] == b2
+    at, e = A.table, sk.entries
+    dl, dr = _equations(at, e[1:-1], t.a_witnesses, at[e[0]][a], at[e[-1]][a2])
+    gl, gr = _equations(B.table, e, t.b_witnesses, b, b2)
+    return dl == dr and gl == gr
 
 
 def _edges(A: Act, B: Act):
@@ -217,77 +271,51 @@ def find_tossing(A: Act, B: Act, a: int, b: int, a2: int, b2: int) -> Tossing | 
     _check_sides(A, B)
     nb = B.size
     e = A.monoid.identity
-    for x, bound, where in (
-        (a, A.size, "right act carrier"),
-        (a2, A.size, "right act carrier"),
-        (b, nb, "left act carrier"),
-        (b2, nb, "left act carrier"),
-    ):
-        if not (0 <= x < bound):
-            raise ElementNotFoundError(str(x), where)
-    src = a * nb + b
-    dst = a2 * nb + b2
-    if src == dst:
-        steps = [("R", e), ("L", e)]
-        return _assemble(A, B, a, b, steps, [(a, b), (a, b), (a, b)])
-    adj = _edges(A, B)
-    prev: dict[int, tuple[int, str, int]] = {src: (-1, "", -1)}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for v, kind, s in adj[u]:
-            if v not in prev:
-                prev[v] = (u, kind, s)
-                queue.append(v)
-    if dst not in prev:
-        return None
-    steps = []
-    nodes = []
-    cur = dst
-    while cur != src:
-        p, kind, s = prev[cur]
-        steps.append((kind, s))
-        nodes.append(divmod(cur, nb))
-        cur = p
-    steps.reverse()
-    nodes.reverse()
-    nodes.insert(0, (a, b))
+    src = _pair_index(A, B, a, b)
+    dst = _pair_index(A, B, a2, b2)
+    path: list[tuple[str, int, tuple[int, int]]] = []  # (kind, s, node reached)
+    if src != dst:
+        adj = _edges(A, B)
+        prev: dict[int, tuple[int, str, int]] = {src: (-1, "", -1)}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if u == dst:
+                break
+            for v, kind, s in adj[u]:
+                if v not in prev:
+                    prev[v] = (u, kind, s)
+                    queue.append(v)
+        if dst not in prev:
+            return None
+        cur = dst
+        while cur != src:
+            p, kind, s = prev[cur]
+            path.append((kind, s, divmod(cur, nb)))
+            cur = p
+        path.reverse()
 
-    norm_steps: list[tuple[str, int]] = []
-    norm_nodes: list[tuple[int, int]] = [nodes[0]]
-    expect = "R"
-    for (kind, s), node in zip(steps, nodes[1:]):
-        if kind != expect:
-            norm_steps.append((expect, e))
-            norm_nodes.append(norm_nodes[-1])
-            expect = "L" if expect == "R" else "R"
-        norm_steps.append((kind, s))
-        norm_nodes.append(node)
-        expect = "L" if expect == "R" else "R"
-    if expect == "L":
-        norm_steps.append(("L", e))
-        norm_nodes.append(norm_nodes[-1])
-    return _assemble(A, B, a, b, norm_steps, norm_nodes)
-
-
-def _assemble(A, B, a, b, steps, nodes) -> Tossing:
-    """Read the skeleton and witnesses off an alternating step sequence."""
-    s_entries = [s for kind, s in steps if kind == "R"]
-    t_entries = [s for kind, s in steps if kind == "L"]
-    assert len(s_entries) == len(t_entries), "normalization must alternate"
-    entries = []
-    for se, te in zip(s_entries, t_entries):
-        entries.extend((se, te))
-    sk = Skeleton(tuple(entries))
-    m = sk.length
+    # R steps take the even places of the skeleton and L steps the odd ones;
+    # an identity step fills a place the path skips and makes the count even
+    entries: list[int] = []
+    nodes = [(a, b)]
+    for kind, s, node in path:
+        if (kind == "R") != (len(entries) % 2 == 0):
+            entries.append(e)
+            nodes.append(nodes[-1])
+        entries.append(s)
+        nodes.append(node)
+    while not entries or len(entries) % 2:
+        entries.append(e)
+        nodes.append(nodes[-1])
+    m = len(entries) // 2
     # after each R step the B coordinate is b_i; after each non-final L
     # step the A coordinate is a_{i+1}
-    b_wit = tuple(nodes[2 * i + 1][1] for i in range(m))
-    a_wit = tuple(nodes[2 * i][0] for i in range(1, m))
-    end = nodes[-1]
-    toss = Tossing(A, B, sk, (a, b), end, a_wit, b_wit)
+    toss = Tossing(
+        A, B, Skeleton(tuple(entries)), (a, b), nodes[-1],
+        tuple(nodes[2 * i][0] for i in range(1, m)),
+        tuple(nodes[2 * i + 1][1] for i in range(m)),
+    )
     assert validate_tossing(toss), "assembled tossing failed its own equations"
     return toss
 
@@ -299,95 +327,38 @@ def eval_delta(
     x*s1 = x2*t1, x2*s2 = x3*t2, ..., xn*sn = x'*tn
     have witnesses x2..xn with x = a, x' = a2?
 
-    Solved left-to-right: each layer keeps the candidates reachable so far,
-    with back-pointers for witness extraction.
+    Solved as the zigzag of steps (t_i, s_{i+1}) from a*s1 to a2*tn.
     """
     if A.side != "right":
         raise SideMismatchError("delta formulas evaluate in a right act")
-    m = sk.length
-    tbl = A.table
-    if m == 1:
-        ok = tbl[sk.s(1)][a] == tbl[sk.t(1)][a2]
-        return (ok, () if ok else None)
-    target0 = tbl[sk.s(1)][a]
-    layers: list[dict[int, int | None]] = [
-        {x: None for x in A.carrier() if tbl[sk.t(1)][x] == target0}
-    ]
-    for i in range(2, m):
-        nxt: dict[int, int | None] = {}
-        trow = tbl[sk.t(i)]
-        srow = tbl[sk.s(i)]
-        for y in A.carrier():
-            ty = trow[y]
-            for x in layers[-1]:
-                if srow[x] == ty:
-                    nxt[y] = x
-                    break
-        layers.append(nxt)
-    final = tbl[sk.t(m)][a2]
-    srow = tbl[sk.s(m)]
-    for x in layers[-1]:
-        if srow[x] == final:
-            wits = [x]
-            for i in range(m - 2, 0, -1):
-                wits.append(layers[i][wits[-1]])
-            wits.reverse()
-            return (True, tuple(wits))
-    return (False, None)
+    tbl, e = A.table, sk.entries
+    steps = e[1:-1]
+    layers, reach = _walk(tbl, steps, tbl[e[0]][a])
+    end = tbl[e[-1]][a2]
+    if end not in reach:
+        return (False, None)
+    return (True, _pick(tbl, steps, layers, end))
 
 
 def eval_gamma(
     B: Act, sk: Skeleton, b: int, b2: int
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Left-act side of the skeleton: witnesses x1..xn for
-    x = s1*x1, t1*x1 = s2*x2, ..., tn*xn = x' with x = b, x' = b2."""
+    x = s1*x1, t1*x1 = s2*x2, ..., tn*xn = x' with x = b, x' = b2,
+    solved as the zigzag of steps (s_i, t_i) from b to b2."""
     if B.side != "left":
         raise SideMismatchError("gamma formulas evaluate in a left act")
-    m = sk.length
-    tbl = B.table
-    layers: list[dict[int, int | None]] = [
-        {x: None for x in B.carrier() if tbl[sk.s(1)][x] == b}
-    ]
-    for i in range(1, m):
-        nxt: dict[int, int | None] = {}
-        trow = tbl[sk.t(i)]
-        srow = tbl[sk.s(i + 1)]
-        for y in B.carrier():
-            sy = srow[y]
-            for x in layers[-1]:
-                if trow[x] == sy:
-                    nxt[y] = x
-                    break
-        layers.append(nxt)
-    trow = tbl[sk.t(m)]
-    for x in layers[-1]:
-        if trow[x] == b2:
-            wits = [x]
-            for i in range(m - 1, 0, -1):
-                wits.append(layers[i][wits[-1]])
-            wits.reverse()
-            return (True, tuple(wits))
-    return (False, None)
+    layers, reach = _walk(B.table, sk.entries, b)
+    if b2 not in reach:
+        return (False, None)
+    return (True, _pick(B.table, sk.entries, layers, b2))
 
 
 def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
-    """All (b, b2) with a gamma witness chain, in one sweep per source."""
-    m = sk.length
-    tbl = B.table
-    out = set()
-    for b in B.carrier():
-        layer = {x for x in B.carrier() if tbl[sk.s(1)][x] == b}
-        for i in range(1, m):
-            if not layer:
-                break
-            trow = tbl[sk.t(i)]
-            srow = tbl[sk.s(i + 1)]
-            reach = {trow[x] for x in layer}
-            layer = {y for y in B.carrier() if srow[y] in reach}
-        trow = tbl[sk.t(m)]
-        for x in layer:
-            out.add((b, trow[x]))
-    return frozenset(out)
+    """All (b, b2) with a gamma witness chain, in one walk per source b;
+    a b outside the image of s1 has no first witness."""
+    tbl, e = B.table, sk.entries
+    return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])
 
 
 @lru_cache(maxsize=4096)
@@ -440,14 +411,18 @@ def induced_morphism(
     if len(witnesses) != m + 1:
         raise WitnessesInvalidError(-1)
     ttbl = target.table
-    for i in range(1, m + 1):
-        if ttbl[sk.s(i)][witnesses[i - 1]] != ttbl[sk.t(i)][witnesses[i]]:
-            raise WitnessesInvalidError(i)
-    cong, Q, marks = _standard_parts(M, sk.entries)
+    e = sk.entries
+    lhs, rhs = _equations(
+        ttbl, e[1:-1], witnesses[1:-1], ttbl[e[0]][witnesses[0]],
+        ttbl[e[-1]][witnesses[-1]],
+    )
+    if lhs != rhs:
+        broken = next(i for i, (l, r) in enumerate(zip(lhs, rhs), 1) if l != r)
+        raise WitnessesInvalidError(broken)
+    cong, Q, marks = _standard_parts(M, e)
     n = M.size
     mapping = [-1] * Q.size
-    for copy in range(m + 1):
-        base = witnesses[copy]
+    for copy, base in enumerate(witnesses):
         for s in range(n):
             q = cong.block_of[copy * n + s]
             img = ttbl[s][base]
@@ -467,25 +442,16 @@ def format_tossing(t: Tossing) -> str:
     """Two-column text table of the scheme, in carrier and element labels."""
     A, B, sk = t.right_act, t.left_act, t.skeleton
     ml = A.monoid.element_names
-    m = sk.length
     a, b = t.start
     a2, b2 = t.end
-    achain = (a,) + t.a_witnesses + (a2,)
-    bs = t.b_witnesses
-    an, bn = A.carrier_names, B.carrier_names
-
-    left_col = [""]
-    right_col = [f"{bn[b]} = {ml[sk.s(1)]}*{bn[bs[0]]}"]
-    for i in range(1, m + 1):
-        left_col.append(
-            f"{an[achain[i - 1]]}*{ml[sk.s(i)]} = {an[achain[i]]}*{ml[sk.t(i)]}"
-        )
-        if i < m:
-            right_col.append(
-                f"{ml[sk.t(i)]}*{bn[bs[i - 1]]} = {ml[sk.s(i + 1)]}*{bn[bs[i]]}"
-            )
-        else:
-            right_col.append(f"{ml[sk.t(m)]}*{bn[bs[m - 1]]} = {bn[b2]}")
+    # the terms x*q and q*x as text, in tables laid out like the act tables
+    at = [[f"{x}*{q}" for x in A.carrier_names] for q in ml]
+    bt = [[f"{q}*{x}" for x in B.carrier_names] for q in ml]
+    e, bn = sk.entries, B.carrier_names
+    delta = _equations(at, e[1:-1], t.a_witnesses, at[e[0]][a], at[e[-1]][a2])
+    gamma = _equations(bt, e, t.b_witnesses, bn[b], bn[b2])
+    left_col = [""] + [f"{l} = {r}" for l, r in zip(*delta)]
+    right_col = [f"{l} = {r}" for l, r in zip(*gamma)]
     width = max(len(s) for s in left_col) + 4
     lines = [l.ljust(width) + r for l, r in zip(left_col, right_col)]
     return "\n".join(lines)

@@ -73,6 +73,39 @@ def tossing_exists_brute(A, B, sk, a, b, a2, b2) -> bool:
     return False
 
 
+def least_witnesses_brute(act, sk, x, x2):
+    """The witnesses eval_delta (right act) or eval_gamma (left act) returns
+    for the endpoints x, x2: among all tuples satisfying the scheme's
+    column, the one whose reverse is lexicographically least; None when
+    no tuple does.  Every tuple is tried against the equations as written."""
+    m = sk.length
+    T = act.table
+    if act.side == "right":
+        # x*s1 = w2*t1, w2*s2 = w3*t2, ..., wm*sm = x2*tm
+        def holds(w):
+            chain = (x,) + w + (x2,)
+            return all(
+                T[sk.s(i)][chain[i - 1]] == T[sk.t(i)][chain[i]]
+                for i in range(1, m + 1)
+            )
+
+        width = m - 1
+    else:
+        # x = s1*w1, t1*w1 = s2*w2, ..., tm*wm = x2
+        def holds(w):
+            return (
+                T[sk.s(1)][w[0]] == x
+                and T[sk.t(m)][w[-1]] == x2
+                and all(
+                    T[sk.t(i)][w[i - 1]] == T[sk.s(i + 1)][w[i]] for i in range(1, m)
+                )
+            )
+
+        width = m
+    valid = [w for w in product(range(act.size), repeat=width) if holds(w)]
+    return min(valid, key=lambda w: w[::-1]) if valid else None
+
+
 def tossing_endpoint_table(A, B, sk):
     """All endpoint 4-tuples (a, b, a2, b2) some witness tuple validates.
 

@@ -285,6 +285,38 @@ def test_budget_guard(z2_file, z2_acts, monkeypatch, capsys):
     assert "ACTALAB_MAX_CELLS" in capsys.readouterr().err
 
 
+def test_flat_bound_guard(tmp_path, natmin3, trivial, monkeypatch, capsys):
+    """The bounded flatness search's skeleton term is estimated before the
+    search starts, without raising |S| to a huge power."""
+    files = {}
+    for M in (natmin3, trivial):
+        mfile, afile = tmp_path / f"{M.size}.json", tmp_path / f"{M.size}_point.json"
+        dump_json(monoid_to_dict(M), mfile)
+        point = al.validate_act(M, "left", ["o"], [[0]] * M.size)
+        dump_json(act_to_dict(point), afile)
+        files[M.size] = ["--monoid", str(mfile), "--act", str(afile)]
+
+    def check(size, bound):
+        argv = ["check", "--condition", "flat", "--flat-bound", bound] + files[size]
+        code = run_command(argv)
+        return code, capsys.readouterr()
+
+    term = "(|S|^2+...+|S|^(2m))*|B|^2"
+    # 16 + 256 + ... + 16^7 = 286331152 skeletons of length <= 7 over natmin3
+    code, captured = check(4, "7")
+    assert code == 2 and captured.out == ""
+    assert f"{term} = 286331152 exceeds" in captured.err
+    code, captured = check(4, "1000000000")
+    assert code == 2 and f"{term} >= " in captured.err
+    code, captured = check(1, "1000000000")
+    assert code == 2 and f"{term} = 1000000000 exceeds" in captured.err
+    assert check(1, "3")[0] == 0
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "200")
+    code, captured = check(4, "2")
+    assert code == 2 and f"{term} = 272 exceeds" in captured.err
+    assert check(4, "1")[0] == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
 def test_budget_rejects_bad_values(z2_file, z2_acts, monkeypatch, capsys, raw):
     left, _ = z2_acts
@@ -347,6 +379,59 @@ def test_replace_verify_inapplicable_exits_2(tmp_path, null2, capsys):
          "--act", str(afile)]
     )
     assert code == 2
+
+
+def test_malformed_monoid_and_act_json_name_the_key(z2_file, z2_acts, tmp_path, capsys):
+    """A mistyped monoid or act key is a diagnostic naming the key, not a
+    traceback, and a list-valued name no longer passes validation."""
+    left, _ = z2_acts
+    with open(z2_file) as fh:
+        monoid = json.load(fh)
+    with open(left) as fh:
+        act = json.load(fh)
+
+    def edited(data, key, value):
+        data = json.loads(json.dumps(data))
+        if isinstance(key, tuple):
+            data[key[0]][key[1]] = value
+        else:
+            data[key] = value
+        return data
+
+    monoid_cases = [
+        ("elements", 5),
+        (("table", 1), 1),
+        ("identity", ["1"]),
+        ("elements", [["1"], "g"]),
+        (("table", 1), ["g", ["1"]]),
+        ("name", ["x"]),
+    ]
+    bad = tmp_path / "bad.json"
+    for key, value in monoid_cases:
+        bad.write_text(json.dumps(edited(monoid, key, value)))
+        assert run_command(["monoid", "validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = key[0] if isinstance(key, tuple) else key
+        assert f"{named!r}" in captured.err, captured.err
+    assert run_command(["check", "--condition", "p", "--act", left,
+                        "--monoid", str(bad)]) == 2
+    assert "'name'" in capsys.readouterr().err
+
+    act_cases = [
+        (("action", "g"), 5, "'g'"),
+        (("action", "g"), [["p"], "q"], "'g'"),
+        ("elements", [["1"], "g"], "'elements'"),
+        ("elements", 5, "'elements'"),
+        ("side", ["left"], "'side'"),
+        ("monoid", ["Z2"], "'monoid'"),
+        ("action", [], "'action'"),
+    ]
+    for key, value, named in act_cases:
+        bad.write_text(json.dumps(edited(act, key, value)))
+        assert run_command(["act", "validate", str(bad), "--monoid", z2_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err, captured.err
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):

@@ -14,11 +14,8 @@ from actalab.serialize import (
     sentence_from_dict,
     sentence_to_dict,
     sentences_from_dict,
-    skeleton_from_dict,
-    skeleton_to_dict,
     tossing_to_dict,
 )
-from actalab.tensor import Skeleton
 
 
 def test_monoid_round_trip(zoo_monoids):
@@ -41,13 +38,6 @@ def test_act_monoid_reference_checked(z2, z3):
     data = act_to_dict(act)
     with pytest.raises(MonoidMismatchError):
         act_from_dict(data, z3)
-
-
-def test_skeleton_round_trip(z2):
-    sk = Skeleton((0, 1, 1, 0))
-    data = skeleton_to_dict(sk, z2)
-    assert data == {"skeleton": ["1", "g", "g", "1"]}
-    assert skeleton_from_dict(data, z2) == sk
 
 
 def test_sentence_round_trip(zoo_monoids):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 import actalab as al
@@ -8,7 +10,7 @@ from actalab.errors import (
     WitnessesInvalidError,
 )
 from actalab.tensor import Skeleton, Tossing, gamma_pairs
-from helpers import tossing_exists_brute
+from helpers import least_witnesses_brute, tossing_exists_brute
 
 
 def test_trivial_monoid_tensor_is_product(trivial):
@@ -152,14 +154,44 @@ def test_eval_gamma_substitution(z2):
     assert ok and B.apply(u, wits[0]) == b and B.apply(v, wits[0]) == b2
 
 
-def test_gamma_pairs_matches_eval(natmin3):
-    B = al.regular_act(natmin3, "left")
-    for entries in [(0, 1), (1, 2), (0, 0, 1, 1), (2, 1, 0, 3)]:
-        sk = Skeleton(entries)
-        table = gamma_pairs(B, sk)
-        for b in B.carrier():
-            for b2 in B.carrier():
-                assert ((b, b2) in table) == al.eval_gamma(B, sk, b, b2)[0]
+@pytest.fixture(scope="module")
+def small_cases(z2, null2, left_zero, semilattice22):
+    """(act, skeletons) for every act of size <= 3 on either side over a few
+    zoo monoids, with every skeleton of length <= 2."""
+    cases = []
+    for M in (z2, null2, left_zero, semilattice22):
+        sks = [
+            Skeleton(entries)
+            for m in (1, 2)
+            for entries in product(M.elements(), repeat=2 * m)
+        ]
+        for side in ("right", "left"):
+            cases.extend((act, sks) for act in al.enumerate_acts(M, side, 3))
+    return cases
+
+
+def test_eval_witnesses_are_reverse_least(small_cases):
+    """eval_delta and eval_gamma return, among all valid witness tuples, the
+    one whose reverse is lexicographically least."""
+    for act, sks in small_cases:
+        evaluate = al.eval_delta if act.side == "right" else al.eval_gamma
+        for sk in sks:
+            for x in act.carrier():
+                for x2 in act.carrier():
+                    ok, wits = evaluate(act, sk, x, x2)
+                    assert wits == least_witnesses_brute(act, sk, x, x2)
+                    assert ok == (wits is not None)
+
+
+def test_gamma_pairs_matches_eval(small_cases):
+    for B, sks in small_cases:
+        if B.side != "left":
+            continue
+        for sk in sks:
+            table = gamma_pairs(B, sk)
+            for b in B.carrier():
+                for b2 in B.carrier():
+                    assert ((b, b2) in table) == al.eval_gamma(B, sk, b, b2)[0]
 
 
 def test_oracle_equivalence_small(null2):

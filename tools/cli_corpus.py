@@ -1,0 +1,199 @@
+"""Run a fixed corpus of actalab CLI invocations and print one line per run.
+
+Usage:  python tools/cli_corpus.py
+
+Each line holds the argv (file arguments are plain file names), the exit
+code and the sha256 of what the run wrote to stdout.  Two checkouts that
+print the same lines gave byte-identical primary output on every run, so
+diffing this script's output before and after a change checks that the
+change kept the CLI's output.  A run that raises instead of returning an
+exit code is printed with "1" and the exception's type, as the installed
+`actalab` command would exit 1 with a traceback.
+
+The corpus covers the zoo monoids with a few of their small acts: every
+`check` condition with and without --witnesses --json, `tensor`,
+`tossing`, `axioms emit|modelcheck|verify`, `replace compute|verify`,
+`enumerate`, `zoo`, malformed monoid and act files, and the budget guards.
+The input files are written to a temporary directory, which is also the
+working directory of the runs.  Only the standard library and the package
+under src/ are used; the script takes no options and its output does not
+depend on the machine.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+from unittest import mock
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from actalab import zoo  # noqa: E402
+from actalab.act import enumerate_acts, regular_act, validate_act  # noqa: E402
+from actalab.cli import run_command  # noqa: E402
+from actalab.serialize import act_to_dict, dump_json, monoid_to_dict  # noqa: E402
+
+ZOO = (
+    ("cyclic_group", {"n": 1}),
+    ("cyclic_group", {"n": 2}),
+    ("cyclic_group", {"n": 3}),
+    ("inverse_omega_chain", {"n": 2}),
+    ("null_adjoined", {"n": 2}),
+    ("semilattice_of_groups", {"n1": 2, "n0": 2}),
+    ("nat_min_adjoined", {"n": 3}),
+)
+CONDITIONS = ("tf", "p", "e", "ep", "w", "pwp", "sf", "pwf", "wf", "flat")
+CLASSES = ("p", "e", "ep", "w", "pwp")
+
+
+def run(argv, env=None):
+    """Run one invocation, with `env` added to the environment, and print
+    its line."""
+    env = env or {}
+    out = io.StringIO()
+    try:
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = str(run_command(argv))
+    except Exception as exc:  # the installed command would exit 1 here
+        code = f"1 {type(exc).__name__}"
+    prefix = "".join(f"{k}={v} " for k, v in env.items())
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    print(f"{prefix}{' '.join(argv)} -> {code} {digest}")
+
+
+def every(items, count):
+    """`count` items spread evenly over the list, first and last included."""
+    if len(items) <= count:
+        return list(items)
+    return [items[i * (len(items) - 1) // (count - 1)] for i in range(count)]
+
+
+def write(name, data):
+    dump_json(data, name)
+    return name
+
+
+def corpus_for(index, M):
+    mfile = write(f"m{index}.json", monoid_to_dict(M))
+    lefts = [regular_act(M, "left")] + every(list(enumerate_acts(M, "left", 3)), 4)
+    rights = [regular_act(M, "right")] + every(list(enumerate_acts(M, "right", 3)), 2)
+    lfiles = [write(f"m{index}_left{i}.json", act_to_dict(B)) for i, B in enumerate(lefts)]
+    rfiles = [write(f"m{index}_right{i}.json", act_to_dict(A)) for i, A in enumerate(rights)]
+
+    run(["monoid", "validate", mfile])
+    run(["monoid", "validate", mfile, "--json"])
+    for f in lfiles + rfiles:
+        run(["act", "validate", f, "--monoid", mfile, "--json"])
+
+    for f in lfiles:
+        for cond in CONDITIONS:
+            base = ["check", "--condition", cond, "--act", f, "--monoid", mfile]
+            run(base)
+            run(base + ["--witnesses", "--json"])
+        run(["check", "--condition", "flat", "--act", f, "--monoid", mfile,
+             "--flat-bound", "1", "--json"])
+
+    for (A, af), (B, bf) in product(zip(rights, rfiles), zip(lefts, lfiles)):
+        base = ["--monoid", mfile, "--right-act", af, "--left-act", bf]
+        run(["tensor"] + base)
+        run(["tensor"] + base + ["--json"])
+        if A.size * B.size > 9:
+            continue
+        pairs = [f"{a},{b}" for a in A.carrier_names for b in B.carrier_names]
+        for src, dst in product(pairs, pairs):
+            run(["tossing"] + base + ["--from", src, "--to", dst])
+        run(["tossing"] + base + ["--from", pairs[0], "--to", pairs[-1], "--json"])
+
+    for cls in CLASSES:
+        sfile = f"m{index}_{cls}.sentences.json"
+        run(["axioms", "emit", "--class", cls, "--monoid", mfile])
+        run(["axioms", "emit", "--class", cls, "--monoid", mfile, "--json"])
+        run(["axioms", "emit", "--class", cls, "--monoid", mfile, "-o", sfile])
+        for f in lfiles:
+            run(["axioms", "modelcheck", "--act", f, "--monoid", mfile,
+                 "--sentences", sfile, "--json"])
+        run(["axioms", "verify", "--class", cls, "--monoid", mfile,
+             "--max-size", "3", "--json"])
+        for s, t in product(M.element_names, repeat=2):
+            run(["replace", "compute", "--class", cls, "--monoid", mfile,
+                 "--s", s, "--t", t, "--json"])
+        run(["replace", "compute", "--class", cls, "--monoid", mfile,
+             "--s", M.element_names[-1]])
+        for f in lfiles:
+            run(["replace", "verify", "--class", cls, "--monoid", mfile, "--act", f])
+            run(["replace", "verify", "--class", cls, "--monoid", mfile, "--act", f,
+                 "--s", M.element_names[-1], "--json"])
+
+    for side in ("left", "right"):
+        for size in ("2", "3"):
+            base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
+            run(base)
+            run(base + ["--distinct"])
+        run(["enumerate", "--monoid", mfile, "--side", side, "--max-size", "3",
+             "--limit", "4", "--json"])
+
+
+def malformed(z2):
+    """Monoid and act files with a mistyped key, and the budget guards."""
+    good_monoid = monoid_to_dict(z2)
+    good_act = act_to_dict(regular_act(z2, "left"))
+    mfile = write("z2.json", good_monoid)
+    afile = write("z2_left.json", good_act)
+    monoid_edits = (
+        ("elements", 5), ("table", [["1", "g"], 1]), ("identity", ["1"]),
+        ("elements", [["1"], "g"]), ("name", ["x"]), ("name", 3),
+    )
+    for i, (key, value) in enumerate(monoid_edits):
+        data = dict(good_monoid, **{key: value})
+        bad = write(f"bad_monoid{i}.json", data)
+        # the act names the edited monoid, so a mistyped name reaches `check`
+        act = write(f"bad_monoid{i}_left.json", dict(good_act, monoid=data["name"]))
+        run(["monoid", "validate", bad])
+        run(["check", "--condition", "p", "--act", act, "--monoid", bad])
+    act_edits = (
+        ("action", dict(good_act["action"], g=5)),
+        ("action", dict(good_act["action"], g=[["g"], "1"])),
+        ("elements", [["1"], "g"]),
+        ("side", ["left"]),
+        ("monoid", ["cyclic_group(2)"]),
+    )
+    for i, (key, value) in enumerate(act_edits):
+        bad = write(f"bad_act{i}.json", dict(good_act, **{key: value}))
+        run(["act", "validate", bad, "--monoid", mfile])
+        run(["check", "--condition", "p", "--act", bad, "--monoid", mfile])
+
+    natmin = zoo.build("nat_min_adjoined", n=3)
+    nfile = write("natmin3.json", monoid_to_dict(natmin))
+    point = write("natmin3_point.json", act_to_dict(
+        validate_act(natmin, "left", ["o"], [[0]] * natmin.size)))
+    flat = ["check", "--condition", "flat", "--act", point, "--monoid", nfile]
+    run(flat + ["--flat-bound", "2"], env={"ACTALAB_MAX_CELLS": "200"})
+    run(flat + ["--flat-bound", "1"], env={"ACTALAB_MAX_CELLS": "200"})
+    run(["enumerate", "--monoid", mfile, "--side", "left", "--max-size", "9"])
+    run(["tensor", "--monoid", mfile, "--right-act", afile, "--left-act", afile])
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            monoids = [zoo.build(family, **params) for family, params in ZOO]
+            for index, M in enumerate(monoids):
+                corpus_for(index, M)
+            run(["zoo", "families", "--json"])
+            run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4", "--json"])
+            run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"])
+            malformed(monoids[1])
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main()
