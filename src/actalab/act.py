@@ -173,6 +173,14 @@ def free_base_point(M: FiniteMonoid, copy: int) -> int:
     return (copy - 1) * M.size + M.identity
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """The root of x in a merge-find forest, halving its path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCongruence:
     """Smallest act congruence containing the seeds.
 
@@ -181,13 +189,6 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
     """
     k = act.size
     parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     table = act.table
     els = act.monoid.elements()
     work = deque(seed_pairs)
@@ -196,7 +197,7 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
             raise ValidationError("seed pair outside the carrier")
     while work:
         a, b = work.popleft()
-        ra, rb = find(a), find(b)
+        ra, rb = find_root(parent, a), find_root(parent, b)
         if ra == rb:
             continue
         parent[rb] = ra
@@ -205,7 +206,7 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
             work.append((row[a], row[b]))
     groups: dict[int, list[int]] = {}
     for x in range(k):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(find_root(parent, x), []).append(x)
     blocks = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
     block_of = [0] * k
     for bi, block in enumerate(blocks):

@@ -8,7 +8,8 @@ ACTALAB_MAX_CELLS (default 10^8, a positive integer) caps the
 `enumerate` and `axioms verify` also the (|S|-1) * k^k row candidates at the
 largest carrier size k and, with --distinct, the k! carrier relabellings;
 for `check --condition flat --flat-bound m` it caps the skeletons of length
-up to m times the pairs of B, (|S|^2 + ... + |S|^(2m)) * |B|^2.
+up to m, each quotient of (m+1)*|S| elements under |S| actions and the
+pairs of B, (|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2.
 """
 
 from __future__ import annotations
@@ -96,18 +97,19 @@ def _guard_enumeration(n_s: int, k: int, distinct: bool):
 
 
 def _guard_flat(n_s: int, n_b: int, m: int):
-    """(|S|^2 + ... + |S|^(2m)) * |B|^2: the skeletons of the bounded
-    flatness search times the pairs each may test.  With |S| >= 2 the term
-    |S|^(2k) alone passes the cap once 4^k does, so later terms are not
-    computed and the diagnostic gives a lower bound."""
+    """(|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2: the skeletons of the
+    bounded flatness search, times the (m+1)*|S| elements and |S| actions of
+    the standard quotient each one builds, times the pairs of B.  With
+    |S| >= 2 the term |S|^(2k) alone passes the cap once 4^k does, so later
+    terms are not computed and the diagnostic gives a lower bound."""
     if n_s == 1:
         total, exact = m, True
     else:
         terms = min(m, _budget().bit_length() // 2 + 1)
         total = sum(n_s ** (2 * k) for k in range(1, terms + 1))
         exact = terms == m
-    _check_estimate("(|S|^2+...+|S|^(2m))*|B|^2", total * n_b * n_b,
-                    "=" if exact else ">=")
+    _check_estimate("(|S|^2+...+|S|^(2m))*(m+1)*|S|^2*|B|^2",
+                    total * (m + 1) * n_s * n_s * n_b * n_b, "=" if exact else ">=")
 
 
 def _load_monoid(path: str) -> FiniteMonoid:
@@ -279,6 +281,8 @@ def _cmd_replace_verify(args) -> int:
     B = _load_act(args.act, M)
     _guard(M.size, B.size, B.size)
     cid = args.cls.upper()
+    if args.t is not None and args.s is None:
+        raise ActalabError("replace verify: --t needs --s")
     if args.s is not None:
         s = M.index(args.s)
         t = M.index(args.t) if args.t is not None else s

@@ -3,6 +3,10 @@ torsion-freeness, the interpolation conditions (P), (E), (EP), (W), (PWP),
 strong flatness as (P) and (E) combined, principal weak flatness, weak
 flatness, and a bounded refutation procedure for flatness itself.
 
+PWF and WF are read off the act's own table, with no tensor product: aS ⊗ B
+is B modulo the equivalence that the (PWP) orbit of R(a,a) generates, and
+WF is PWF together with (W).
+
 Every "fails" verdict carries a concrete counterexample that re-checks as a
 violation; interpolant reporting on success is opt-in to keep sweeps cheap.
 """
@@ -14,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .act import Act, regular_act, restrict_act
+from .act import Act, find_root
 from .errors import SideMismatchError, UnknownConditionError, ValidationError
 from .monoid import (
     FiniteMonoid,
@@ -23,7 +27,6 @@ from .monoid import (
     RightIdeal,
     ideal_intersection,
     left_cancellable_elements,
-    principal_right_ideal,
     r_set,
 )
 from .tensor import Skeleton, gamma_pairs, standard_subact, tensor_product
@@ -236,74 +239,71 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: chk.check(c) for c in conds}
 
 
-def _c_flat(B: Act, principal: bool) -> ConditionReport:
-    """C-flatness: K ⊗ B embeds in S ⊗ B for every right ideal K in C, the
-    principal right ideals aS (PWF) or all non-empty right ideals (WF).
+def _pwf_witness(B: Act) -> dict | None:
+    """The PWF failure witness at the first a whose aS ⊗ B does not embed
+    in S ⊗ B, or None.
 
-    K ⊗ B fails to embed when two of its classes land in one class of
-    S ⊗ B; the first member of each is reported as pair1 and pair2.  A PWF
-    failure also gives (a, b, b2) with a ⊗ b = a ⊗ b2 in S ⊗ B but not in
-    aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
+    aS ≅ S/R(a,a), so aS ⊗ B is B modulo θ_a, the equivalence that the
+    pairs (u·c, v·c) with (u, v) in R(a,a) generate: k ⊗ b is the θ_a-class
+    of u·b when a·u = k, and lands on k·b in S ⊗ B ≅ B.  The first pair
+    (k, b) whose image an earlier pair of another class has, and that
+    earlier pair, are the first members of the first two classes to meet.
     """
-    _require_left(B)
-    M = B.monoid
-    cid = "PWF" if principal else "WF"
-    S_right = regular_act(M, "right")
-    SB = tensor_product(S_right, B)
-    if principal:
-        family = [(a, principal_right_ideal(M, a).members) for a in M.elements()]
-    else:
-        family = [(None, members) for members in all_right_ideals(M)]
-    for a, members in family:
-        members = sorted(members)
-        KB = tensor_product(restrict_act(S_right, members)[0], B)
-        seen: dict[int, tuple[int, int]] = {}
-        for cls in KB.classes:
-            k, b2 = cls[0]
-            k2 = members[k]
-            fc = SB.class_index(k2, b2)
-            if fc not in seen:
-                seen[fc] = (k2, b2)
-                continue
-            k1, b1 = seen[fc]
-            if principal:
-                witness = {
-                    "a": M.label(a),
-                    "b": B.label(B.table[M.mul[a].index(k1)][b1]),
-                    "b2": B.label(B.table[M.mul[a].index(k2)][b2]),
-                }
-            else:
-                witness = {"ideal": [M.label(k) for k in members]}
-            witness["pair1"] = [M.label(k1), B.label(b1)]
-            witness["pair2"] = [M.label(k2), B.label(b2)]
-            return ConditionReport(cid, "fails", witness)
-    return ConditionReport(cid, "holds")
+    M, rows = B.monoid, B.table
+    for a, _, pairs in _structures("PWP", M):
+        parent = list(range(B.size))
+        for u, v in pairs:
+            for c, d in zip(rows[u], rows[v]):
+                parent[find_root(parent, c)] = find_root(parent, d)
+        seen: dict[int, tuple[int, int, int]] = {}
+        arow = M.mul[a]
+        for k in sorted(set(arow)):
+            urow = rows[arow.index(k)]
+            for b in B.carrier():
+                root = find_root(parent, urow[b])
+                root1, k1, b1 = seen.setdefault(rows[k][b], (root, k, b))
+                if root1 != root:
+                    return {
+                        "a": M.label(a), "b": B.label(rows[arow.index(k1)][b1]),
+                        "b2": B.label(urow[b]),
+                        "pair1": [M.label(k1), B.label(b1)],
+                        "pair2": [M.label(k), B.label(b)],
+                    }
+    return None
 
 
 def check_pwf(B: Act) -> ConditionReport:
-    """Principal weak flatness: aS ⊗ B embeds in S ⊗ B for every a."""
-    return _c_flat(B, principal=True)
+    """Principal weak flatness: aS ⊗ B embeds in S ⊗ B for every a.
 
-
-def all_right_ideals(M: FiniteMonoid) -> list[frozenset[int]]:
-    """Every non-empty right ideal: unions of principal ideals, deduplicated."""
-    principals = sorted(
-        {principal_right_ideal(M, a).members for a in M.elements()},
-        key=lambda m: sorted(m),
-    )
-    out = set()
-    p = len(principals)
-    for mask in range(1, 1 << p):
-        members = frozenset().union(
-            *(principals[i] for i in range(p) if mask >> i & 1)
-        )
-        out.add(members)
-    return sorted(out, key=lambda m: (len(m), sorted(m)))
+    A failure gives the first two classes of aS ⊗ B that meet in S ⊗ B as
+    pair1 and pair2, and (a, b, b2) with a ⊗ b = a ⊗ b2 in S ⊗ B but not in
+    aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
+    """
+    _require_left(B)
+    witness = _pwf_witness(B)
+    return ConditionReport("PWF", "fails" if witness else "holds", witness)
 
 
 def check_wf(B: Act) -> ConditionReport:
-    """Weak flatness: K ⊗ B embeds in S ⊗ B for every right ideal K."""
-    return _c_flat(B, principal=False)
+    """Weak flatness: K ⊗ B embeds in S ⊗ B for every right ideal K, which
+    holds exactly when B is principally weakly flat and satisfies (W).
+
+    A PWF failure at a is reported on the ideal aS; otherwise the first (W)
+    failure s·b = t·b2 splits s ⊗ b from t ⊗ b2 in (sS ∪ tS) ⊗ B.
+    """
+    chk = _Checker(B)
+    w = _pwf_witness(B)
+    if w is not None:
+        gens, pair1, pair2 = [w["a"]], w["pair1"], w["pair2"]
+    else:
+        w = chk.check("W").witness
+        if w is None:
+            return ConditionReport("WF", "holds")
+        gens, pair1, pair2 = [w["s"], w["t"]], [w["s"], w["a"]], [w["t"], w["a2"]]
+    M = B.monoid
+    ideal = sorted(set().union(*(M.mul[M.index(g)] for g in gens)))
+    witness = {"ideal": [M.label(k) for k in ideal], "pair1": pair1, "pair2": pair2}
+    return ConditionReport("WF", "fails", witness)
 
 
 def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:

@@ -34,6 +34,7 @@ from .act import (
     Act,
     ActMorphism,
     congruence_closure,
+    find_root,
     free_base_point,
     free_right_act,
     morphism_is_valid,
@@ -137,20 +138,13 @@ def tensor_product(A: Act, B: Act) -> TensorProduct:
     _check_sides(A, B)
     na, nb = A.size, B.size
     parent = list(range(na * nb))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for s in A.monoid.elements():
         arow, brow = A.table[s], B.table[s]
         for a in range(na):
             asb = arow[a] * nb
             ab = a * nb
             for b in range(nb):
-                ra, rb = find(asb + b), find(ab + brow[b])
+                ra, rb = find_root(parent, asb + b), find_root(parent, ab + brow[b])
                 if ra != rb:
                     parent[rb] = ra
     index_of: dict[int, int] = {}
@@ -158,7 +152,7 @@ def tensor_product(A: Act, B: Act) -> TensorProduct:
     members: list[list[tuple[int, int]]] = []
     for a in range(na):
         for b in range(nb):
-            root = find(a * nb + b)
+            root = find_root(parent, a * nb + b)
             ci = index_of.setdefault(root, len(index_of))
             if ci == len(members):
                 members.append([])

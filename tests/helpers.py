@@ -3,12 +3,16 @@
 These deliberately avoid the library's own search strategies: generating
 sets are found by exhaustive subset search, tossing existence by full
 witness enumeration, congruence minimality by scanning every partition,
-isomorphism-canonical acts by trying every carrier relabelling.
+isomorphism-canonical acts by trying every carrier relabelling, and
+principal and weak flatness by building the tensor products themselves.
 """
 
 from itertools import combinations, permutations, product
 
-from actalab.monoid import PairSubact, RightIdeal
+from actalab.act import regular_act, restrict_act
+from actalab.conditions import ConditionReport
+from actalab.monoid import PairSubact, RightIdeal, principal_right_ideal
+from actalab.tensor import tensor_product
 
 
 def _items_and_orbits(structure):
@@ -359,3 +363,79 @@ def generated_right_ideal(M, generators) -> RightIdeal:
     for g in generators:
         members.update(M.mul[g][s] for s in M.elements())
     return RightIdeal(M, frozenset(members))
+
+
+def all_right_ideals(M) -> list[frozenset[int]]:
+    """Every non-empty right ideal: unions of principal ideals, deduplicated."""
+    principals = sorted(
+        {principal_right_ideal(M, a).members for a in M.elements()},
+        key=lambda m: sorted(m),
+    )
+    out = set()
+    p = len(principals)
+    for mask in range(1, 1 << p):
+        members = frozenset().union(
+            *(principals[i] for i in range(p) if mask >> i & 1)
+        )
+        out.add(members)
+    return sorted(out, key=lambda m: (len(m), sorted(m)))
+
+
+def _c_flat(B, principal: bool) -> ConditionReport:
+    """C-flatness by tensor products: K ⊗ B embeds in S ⊗ B for every right
+    ideal K in C, the principal right ideals aS (PWF) or all non-empty right
+    ideals (WF).
+
+    K ⊗ B fails to embed when two of its classes land in one class of
+    S ⊗ B; the first member of each is reported as pair1 and pair2.  A PWF
+    failure also gives (a, b, b2) with a ⊗ b = a ⊗ b2 in S ⊗ B but not in
+    aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
+    """
+    M = B.monoid
+    cid = "PWF" if principal else "WF"
+    S_right = regular_act(M, "right")
+    SB = tensor_product(S_right, B)
+    if principal:
+        family = [(a, principal_right_ideal(M, a).members) for a in M.elements()]
+    else:
+        family = [(None, members) for members in all_right_ideals(M)]
+    for a, members in family:
+        members = sorted(members)
+        KB = tensor_product(restrict_act(S_right, members)[0], B)
+        seen: dict[int, tuple[int, int]] = {}
+        for cls in KB.classes:
+            k, b2 = cls[0]
+            k2 = members[k]
+            fc = SB.class_index(k2, b2)
+            if fc not in seen:
+                seen[fc] = (k2, b2)
+                continue
+            k1, b1 = seen[fc]
+            if principal:
+                witness = {
+                    "a": M.label(a),
+                    "b": B.label(B.table[M.mul[a].index(k1)][b1]),
+                    "b2": B.label(B.table[M.mul[a].index(k2)][b2]),
+                }
+            else:
+                witness = {"ideal": [M.label(k) for k in members]}
+            witness["pair1"] = [M.label(k1), B.label(b1)]
+            witness["pair2"] = [M.label(k2), B.label(b2)]
+            return ConditionReport(cid, "fails", witness)
+    return ConditionReport(cid, "holds")
+
+
+def wf_witness_is_genuine(B, witness) -> bool:
+    """Whether a WF witness names two pairs that are split in K ⊗ B, K its
+    ideal, but joined in S ⊗ B."""
+    M = B.monoid
+    members = sorted(M.index(x) for x in witness["ideal"])
+    S = regular_act(M, "right")
+    SB = tensor_product(S, B)
+    KB = tensor_product(restrict_act(S, members)[0], B)
+    (m1, b1), (m2, b2) = (
+        (M.index(k), B.index(b)) for k, b in (witness["pair1"], witness["pair2"])
+    )
+    return SB.same_class(m1, b1, m2, b2) and not KB.same_class(
+        members.index(m1), b1, members.index(m2), b2
+    )

@@ -16,6 +16,7 @@ from actalab.axioms import satisfies_all
 from actalab.conditions import condition_profile
 from actalab.tensor import Skeleton, gamma_pairs, standard_tossing_act
 from helpers import (
+    _c_flat,
     brute_min_generators,
     semilattice_claimed_R,
     tossing_endpoint_table,
@@ -43,14 +44,17 @@ def criterion(num, name):
 @pytest.fixture(scope="module")
 def sweep4(zoo_monoids):
     """Every left act of size <= 4 per zoo monoid, with its condition
-    profile and the two tensor-embedding verdicts."""
+    profile and the two tensor-embedding verdicts, read off the tensor
+    products themselves so that criteria 4 and 5 check the theorem rather
+    than the deciders' own reduction."""
     out = {}
     for M in zoo_monoids:
         rows = []
         for B in al.enumerate_acts(M, "left", 4):
             prof = {c: r.holds for c, r in condition_profile(B).items()}
             rows.append(
-                (B, prof, al.check_pwf(B).holds, al.check_wf(B).holds)
+                (B, prof, _c_flat(B, principal=True).holds,
+                 _c_flat(B, principal=False).holds)
             )
         out[M] = rows
     return out

@@ -202,6 +202,13 @@ def test_replace_commands(z2_file, z2_acts, capsys):
         ["replace", "verify", "--class", "w", "--monoid", z2_file,
          "--act", left]
     ) == 0
+    capsys.readouterr()
+    assert run_command(
+        ["replace", "verify", "--class", "p", "--monoid", z2_file,
+         "--act", left, "--t", "g"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--t" in captured.err
 
 
 def test_zoo_build_and_report(tmp_path, capsys):
@@ -301,20 +308,26 @@ def test_flat_bound_guard(tmp_path, natmin3, trivial, monkeypatch, capsys):
         code = run_command(argv)
         return code, capsys.readouterr()
 
-    term = "(|S|^2+...+|S|^(2m))*|B|^2"
-    # 16 + 256 + ... + 16^7 = 286331152 skeletons of length <= 7 over natmin3
-    code, captured = check(4, "7")
+    term = "(|S|^2+...+|S|^(2m))*(m+1)*|S|^2*|B|^2"
+    # 16 + 256 + ... + 16^6 = 17895696 skeletons of length <= 6 over natmin3,
+    # each a quotient of 7 * 4 elements under 4 actions
+    code, captured = check(4, "6")
     assert code == 2 and captured.out == ""
-    assert f"{term} = 286331152 exceeds" in captured.err
+    assert f"{term} = 2004317952 exceeds" in captured.err
+    code, captured = check(4, "7")
+    assert code == 2 and f"{term} = 36650387456 exceeds" in captured.err
     code, captured = check(4, "1000000000")
     assert code == 2 and f"{term} >= " in captured.err
     code, captured = check(1, "1000000000")
-    assert code == 2 and f"{term} = 1000000000 exceeds" in captured.err
+    assert code == 2 and f"{term} = 1000000001000000000 exceeds" in captured.err
     assert check(1, "3")[0] == 0
-    monkeypatch.setenv("ACTALAB_MAX_CELLS", "200")
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "512")
     code, captured = check(4, "2")
-    assert code == 2 and f"{term} = 272 exceeds" in captured.err
+    assert code == 2 and f"{term} = 13056 exceeds" in captured.err
     assert check(4, "1")[0] == 0
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "511")
+    code, captured = check(4, "1")
+    assert code == 2 and f"{term} = 512 exceeds" in captured.err
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])

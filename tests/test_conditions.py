@@ -1,9 +1,15 @@
 import pytest
 
 import actalab as al
-from actalab.conditions import all_right_ideals
 from actalab.errors import UnknownConditionError
-from helpers import condition_holds_brute, condition_violated, is_right_closed
+from helpers import (
+    _c_flat,
+    all_right_ideals,
+    condition_holds_brute,
+    condition_violated,
+    is_right_closed,
+    wf_witness_is_genuine,
+)
 
 
 def test_regular_act_satisfies_w_and_pwp(zoo_monoids):
@@ -132,12 +138,32 @@ def test_group_acts_are_flat_every_way(z2):
 
 
 def test_wf_decomposition_small(null2, semilattice22):
+    """WF = PWF and (W), with both flatness verdicts from the tensor oracle."""
     for M in (null2, semilattice22):
         for B in al.enumerate_acts(M, "left", 3):
-            wf = al.check_wf(B).holds
+            wf = _c_flat(B, principal=False).holds
             assert wf == (
-                al.check_pwf(B).holds and al.check_condition(B, "W").holds
+                _c_flat(B, principal=True).holds
+                and al.check_condition(B, "W").holds
             )
+
+
+def test_pwf_wf_match_tensor_oracle(zoo_monoids, left_zero):
+    """The table deciders against the tensor-product oracle: identical PWF
+    reports, identical WF verdicts, and every WF witness split in K ⊗ B
+    but joined in S ⊗ B.  On the zoo, WF fails only where PWF does;
+    left_zero's disjoint ideals aS, bS make (W) fail on its own."""
+    failures = {"PWF": 0, "W only": 0}
+    for M in zoo_monoids + [left_zero]:
+        for B in al.enumerate_acts(M, "left", 4):
+            pwf = al.check_pwf(B)
+            assert pwf.to_dict() == _c_flat(B, principal=True).to_dict(), B.table
+            wf = al.check_wf(B)
+            assert wf.holds == _c_flat(B, principal=False).holds, B.table
+            if not wf.holds:
+                failures["W only" if pwf.holds else "PWF"] += 1
+                assert wf_witness_is_genuine(B, wf.witness), (B.table, wf)
+    assert all(failures.values()), failures
 
 
 def test_pwf_failure_witness_is_genuine(null2, natmin3):
@@ -214,23 +240,11 @@ def test_flat_bounded_failure_witness_revalidates(null2):
 def test_wf_failure_witness_is_genuine(null2):
     """A WF witness names an ideal and two pairs equal in S⊗B but split
     in K⊗B; re-derive both tensor products and confirm."""
-    from actalab.act import restrict_act
-
     found = 0
     for B in al.enumerate_acts(null2, "left", 3):
         report = al.check_wf(B)
         if report.holds:
             continue
         found += 1
-        w = report.witness
-        M = null2
-        members = sorted(M.index(x) for x in w["ideal"])
-        S = al.regular_act(M, "right")
-        K, _ = restrict_act(S, members)
-        SB = al.tensor_product(S, B)
-        KB = al.tensor_product(K, B)
-        m1, b1 = M.index(w["pair1"][0]), B.index(w["pair1"][1])
-        m2, b2 = M.index(w["pair2"][0]), B.index(w["pair2"][1])
-        assert SB.same_class(m1, b1, m2, b2)
-        assert not KB.same_class(members.index(m1), b1, members.index(m2), b2)
+        assert wf_witness_is_genuine(B, report.witness), (B.table, report)
     assert found > 0
