@@ -60,7 +60,6 @@ from .tensor import (
     format_tossing,
     induced_morphism,
     standard_tossing_act,
-    tensor_equal,
     tensor_product,
     validate_tossing,
 )

@@ -3,9 +3,9 @@ torsion-freeness, the interpolation conditions (P), (E), (EP), (W), (PWP),
 strong flatness as (P) and (E) combined, principal weak flatness, weak
 flatness, and a bounded refutation procedure for flatness itself.
 
-PWF and WF are read off the act's own table, with no tensor product: aS ⊗ B
-is B modulo the equivalence that the (PWP) orbit of R(a,a) generates, and
-WF is PWF together with (W).
+PWF, WF and the flatness search build no tensor product: U ⊗ B is merged on
+copies of B, one per generator of U (one for PWF's aS, two for a skeleton's
+[x]S ∪ [x']S), and WF is PWF together with (W).
 
 Every "fails" verdict carries a concrete counterexample that re-checks as a
 violation; interpolant reporting on success is opt-in to keep sweeps cheap.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 from .act import Act, find_root
 from .errors import SideMismatchError, UnknownConditionError, ValidationError
@@ -29,7 +29,7 @@ from .monoid import (
     left_cancellable_elements,
     r_set,
 )
-from .tensor import Skeleton, gamma_pairs, standard_subact, tensor_product
+from .tensor import Skeleton, gamma_pairs, standard_subact
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -239,6 +239,25 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: chk.check(c) for c in conds}
 
 
+def _presented_tensor(B: Act, blocks: Sequence[int], copies: int) -> list[int]:
+    """Merge-find parents of U ⊗ B, U the right act generated by x_0, ...,
+    x_(copies-1) with blocks[i*|S| + u] naming x_i·u.  Tensoring is right
+    exact, so U ⊗ B is copies of B, i*|B| + c standing for x_i ⊗ c, modulo
+    (i, u·c) ~ (j, v·c) whenever x_i·u = x_j·v; chaining each (i, u) to the
+    first position of its block generates that equivalence."""
+    n, nb, rows = B.monoid.size, B.size, B.table
+    parent = list(range(copies * nb))
+    first: dict[int, int] = {}
+    for pos, k in enumerate(blocks):
+        pos0 = first.setdefault(k, pos)
+        if pos0 == pos:
+            continue
+        (i, u), (j, v) = divmod(pos, n), divmod(pos0, n)
+        for c, d in zip(rows[u], rows[v]):
+            parent[find_root(parent, i * nb + c)] = find_root(parent, j * nb + d)
+    return parent
+
+
 def _pwf_witness(B: Act) -> dict | None:
     """The PWF failure witness at the first a whose aS ⊗ B does not embed
     in S ⊗ B, or None.
@@ -250,13 +269,10 @@ def _pwf_witness(B: Act) -> dict | None:
     earlier pair, are the first members of the first two classes to meet.
     """
     M, rows = B.monoid, B.table
-    for a, _, pairs in _structures("PWP", M):
-        parent = list(range(B.size))
-        for u, v in pairs:
-            for c, d in zip(rows[u], rows[v]):
-                parent[find_root(parent, c)] = find_root(parent, d)
-        seen: dict[int, tuple[int, int, int]] = {}
+    for a in M.elements():
         arow = M.mul[a]
+        parent = _presented_tensor(B, arow, 1)
+        seen: dict[int, tuple[int, int, int]] = {}
         for k in sorted(set(arow)):
             urow = rows[arow.index(k)]
             for b in B.carrier():
@@ -311,14 +327,14 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
 
     For each skeleton the standard quotient connects ([x], b) to ([x'], b2)
     whenever the gamma chain holds in B; flatness forces the same equality
-    over [x]S ∪ [x']S.  A failure here is a definitive non-flatness
+    in ([x]S ∪ [x']S) ⊗ B.  A failure here is a definitive non-flatness
     witness; exhausting the bound is only "passes-up-to-bound".
     """
     _require_left(B)
     if m_max < 1:
         raise ValidationError("flatness bound must be at least 1")
     M = B.monoid
-    n = M.size
+    n, nb = M.size, B.size
     checked = 0
     for m in range(1, m_max + 1):
         for entries in product(range(n), repeat=2 * m):
@@ -327,10 +343,10 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
             gp = gamma_pairs(B, sk)
             if not gp:
                 continue
-            U, x_pos, xp_pos = standard_subact(M, entries)
-            UB = tensor_product(U, B)
+            U, x, xp = standard_subact(M, entries)
+            parent = _presented_tensor(B, [row[g] for g in (x, xp) for row in U.table], 2)
             for b, b2 in gp:
-                if not UB.same_class(x_pos, b, xp_pos, b2):
+                if find_root(parent, b) != find_root(parent, nb + b2):
                     witness = {
                         "skeleton": list(sk.labels(M)),
                         "b": B.label(b),

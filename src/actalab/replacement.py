@@ -120,26 +120,15 @@ def _replace_instances(B: Act, S_right: Act, rset: ReplacementSet) -> Replacemen
         delta_wits[sk] = wits
     instances = []
     for a, b in cls.instances(B, s, t):
-        hit = None
         for sk in rset.skeletons:
             gok, gwits = eval_gamma(B, sk, a, b)
-            if not gok:
-                continue
-            toss = Tossing(S_right, B, sk, (s, a), (t, b), delta_wits[sk], gwits)
-            if not validate_tossing(toss):
-                continue
-            if cls.scaled:
-                # the equational reading: sa = tb = u*d for some d
-                u = sk.s(2)
-                c = B.table[s][a]
-                if c not in B.table[u]:
-                    continue
-            hit = (sk, toss)
-            break
-        if hit is None:
+            if gok:
+                break
+        else:
             failure = {"a": B.label(a), "b": B.label(b)}
             return ReplacementReport(cid, sl, tl, "violation", instances, failure)
-        sk, toss = hit
+        toss = Tossing(S_right, B, sk, (s, a), (t, b), delta_wits[sk], gwits)
+        assert validate_tossing(toss), "replacement tossing failed its equations"
         instances.append(
             {
                 "a": B.label(a),

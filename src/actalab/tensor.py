@@ -161,11 +161,6 @@ def tensor_product(A: Act, B: Act) -> TensorProduct:
     return TensorProduct(A, B, tuple(class_of), tuple(tuple(c) for c in members))
 
 
-def tensor_equal(T: TensorProduct, a: int, b: int, a2: int, b2: int) -> bool:
-    """a ⊗ b = a' ⊗ b' iff the pairs share a class."""
-    return T.same_class(a, b, a2, b2)
-
-
 def _walk(table, steps, v0):
     """Run a zigzag forward from v0 without fixing its witnesses.
 

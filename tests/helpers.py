@@ -4,7 +4,8 @@ These deliberately avoid the library's own search strategies: generating
 sets are found by exhaustive subset search, tossing existence by full
 witness enumeration, congruence minimality by scanning every partition,
 isomorphism-canonical acts by trying every carrier relabelling, and
-principal and weak flatness by building the tensor products themselves.
+principal, weak and bounded flatness by building the tensor products
+themselves.
 """
 
 from itertools import combinations, permutations, product
@@ -12,7 +13,7 @@ from itertools import combinations, permutations, product
 from actalab.act import regular_act, restrict_act
 from actalab.conditions import ConditionReport
 from actalab.monoid import PairSubact, RightIdeal, principal_right_ideal
-from actalab.tensor import tensor_product
+from actalab.tensor import Skeleton, gamma_pairs, standard_subact, tensor_product
 
 
 def _items_and_orbits(structure):
@@ -438,4 +439,33 @@ def wf_witness_is_genuine(B, witness) -> bool:
     )
     return SB.same_class(m1, b1, m2, b2) and not KB.same_class(
         members.index(m1), b1, members.index(m2), b2
+    )
+
+
+def flat_bounded_oracle(B, m_max: int) -> ConditionReport:
+    """The bounded flatness search with a full tensor product per skeleton:
+    the gamma pairs of B must share a class of ([x]S ∪ [x']S) ⊗ B at the
+    standard quotient's marks [x] and [x']."""
+    M = B.monoid
+    n = M.size
+    checked = 0
+    for m in range(1, m_max + 1):
+        for entries in product(range(n), repeat=2 * m):
+            checked += 1
+            sk = Skeleton(entries)
+            gp = gamma_pairs(B, sk)
+            if not gp:
+                continue
+            U, x_pos, xp_pos = standard_subact(M, entries)
+            UB = tensor_product(U, B)
+            for b, b2 in gp:
+                if not UB.same_class(x_pos, b, xp_pos, b2):
+                    witness = {
+                        "skeleton": list(sk.labels(M)),
+                        "b": B.label(b),
+                        "b2": B.label(b2),
+                    }
+                    return ConditionReport("FLAT", "fails", witness)
+    return ConditionReport(
+        "FLAT", "passes-up-to-bound", None, {"m_max": m_max, "skeletons": checked}
     )

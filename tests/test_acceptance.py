@@ -62,7 +62,7 @@ def sweep4(zoo_monoids):
 
 @criterion(1, "tossing oracle")
 def test_criterion_01_tossing_oracle(zoo_monoids):
-    """tensor_equal agrees with tossing search on every pair of pairs, and
+    """Tensor classes agree with tossing search on every pair of pairs, and
     every found tossing re-validates."""
     pairs_checked = 0
     for M in zoo_monoids:
@@ -76,7 +76,7 @@ def test_criterion_01_tossing_oracle(zoo_monoids):
                         for a2 in A.carrier():
                             for b2 in B.carrier():
                                 toss = al.find_tossing(A, B, a, b, a2, b2)
-                                eq = al.tensor_equal(T, a, b, a2, b2)
+                                eq = T.same_class(a, b, a2, b2)
                                 assert (toss is not None) == eq
                                 if toss is not None:
                                     assert al.validate_tossing(toss)
@@ -146,19 +146,30 @@ def test_criterion_04_implication_lattice(zoo_monoids, sweep4):
                 assert prof["EP"]
             if prof["SF"]:
                 assert al.check_flat_bounded(B, 2).verdict != "fails"
+            if prof["P"]:
+                assert al.check_flat_bounded(B, 2).verdict != "fails"
             if wf:
                 assert pwf
     return f"{acts} acts, zero violations"
 
 
 @criterion(5, "weak flatness decomposition")
-def test_criterion_05_wf_decomposition(zoo_monoids, sweep4):
-    acts = 0
-    for M in zoo_monoids:
-        for B, prof, pwf, wf in sweep4[M]:
-            acts += 1
-            assert wf == (pwf and prof["W"])
-    return f"{acts} acts"
+def test_criterion_05_wf_decomposition(zoo_monoids, sweep4, left_zero):
+    """WF = PWF and (W) on the zoo's sweep and on left_zero's left acts of
+    size <= 4: the zoo never has an act that is PWF but not WF, while
+    left_zero's disjoint ideals aS, bS make (W) fail on its own."""
+    rows = [row for M in zoo_monoids for row in sweep4[M]]
+    rows += [
+        (B, {"W": al.check_condition(B, "W").holds},
+         _c_flat(B, principal=True).holds, _c_flat(B, principal=False).holds)
+        for B in al.enumerate_acts(left_zero, "left", 4)
+    ]
+    w_only = 0
+    for B, prof, pwf, wf in rows:
+        assert wf == (pwf and prof["W"])
+        w_only += pwf and not wf
+    assert w_only > 0
+    return f"{len(rows)} acts, {w_only} PWF but not WF"
 
 
 @criterion(6, "monoid-as-act baselines")

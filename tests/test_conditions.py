@@ -7,6 +7,7 @@ from helpers import (
     all_right_ideals,
     condition_holds_brute,
     condition_violated,
+    flat_bounded_oracle,
     is_right_closed,
     wf_witness_is_genuine,
 )
@@ -212,6 +213,20 @@ def test_flat_bounded_regular_act(zoo_monoids):
         report = al.check_flat_bounded(B, 2)
         assert report.verdict == "passes-up-to-bound"
         assert report.details["m_max"] == 2
+
+
+def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
+    """The presented merge-find against a full ([x]S ∪ [x']S) ⊗ B per
+    skeleton: identical reports at m=2 on every left act of size <= 3 of
+    the zoo and left_zero, and at m=3 on those of null2 and left_zero."""
+    verdicts = set()
+    cases = [(M, 2) for M in zoo_monoids + [left_zero]] + [(null2, 3), (left_zero, 3)]
+    for M, m in cases:
+        for B in al.enumerate_acts(M, "left", 3):
+            report = al.check_flat_bounded(B, m)
+            assert report.to_dict() == flat_bounded_oracle(B, m).to_dict(), B.table
+            verdicts.add(report.verdict)
+    assert verdicts == {"fails", "passes-up-to-bound"}
 
 
 def test_flat_bounded_failure_witness_revalidates(null2):
