@@ -8,12 +8,8 @@ from .act import (
     ActMorphism,
     congruence_closure,
     enumerate_acts,
-    free_right_act,
     morphism_is_valid,
-    quotient_act,
     regular_act,
-    restrict_act,
-    subact_generated,
     validate_act,
 )
 from .axioms import (

@@ -1,5 +1,5 @@
-"""Finite left and right acts of a monoid, congruences, quotients, free acts,
-and exhaustive enumeration of all action tables up to a carrier size.
+"""Finite left and right acts of a monoid, morphisms, act congruences, and
+exhaustive enumeration of all action tables up to a carrier size.
 
 An act stores its action as table[s][a]: for a left act this is s*a, for a
 right act a*s.  Both laws then read table[s][table[t][a]] == table[st][a]
@@ -149,30 +149,6 @@ def regular_act(M: FiniteMonoid, side: str) -> Act:
     return Act(M, side, M.element_names, tuple(tuple(r) for r in table))
 
 
-def free_right_act(M: FiniteMonoid, k: int) -> Act:
-    """The free right act on k generators: k tagged copies of S.
-
-    Carrier element (copy i, s) is labelled "xi#s" and the action is
-    (i, s)*t = (i, st); the base point of copy i is (i, 1).
-    """
-    if k < 1:
-        raise ValidationError("free act needs at least one generator")
-    n = M.size
-    names = tuple(
-        f"x{i + 1}#{M.element_names[s]}" for i in range(k) for s in range(n)
-    )
-    table = tuple(
-        tuple(i * n + M.mul[s][t] for i in range(k) for s in range(n))
-        for t in M.elements()
-    )
-    return Act(M, "right", names, table)
-
-
-def free_base_point(M: FiniteMonoid, copy: int) -> int:
-    """Carrier index of (copy, 1); copies are 1-based."""
-    return (copy - 1) * M.size + M.identity
-
-
 def find_root(parent: list[int], x: int) -> int:
     """The root of x in a merge-find forest, halving its path on the way."""
     while parent[x] != x:
@@ -213,53 +189,6 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
         for x in block:
             block_of[x] = bi
     return ActCongruence(act, tuple(block_of), blocks)
-
-
-def quotient_act(act: Act, cong: ActCongruence) -> tuple[Act, ActMorphism]:
-    """The act on congruence blocks plus the canonical projection."""
-    if cong.act != act:
-        raise ValidationError("congruence does not belong to this act")
-    block_of = cong.block_of
-    reps = [block[0] for block in cong.blocks]
-    names = tuple(f"[{act.carrier_names[r]}]" for r in reps)
-    table = tuple(
-        tuple(block_of[act.table[s][r]] for r in reps) for s in act.monoid.elements()
-    )
-    quotient = Act(act.monoid, act.side, names, table)
-    return quotient, ActMorphism(act, quotient, block_of)
-
-
-def subact_generated(act: Act, subset: Iterable[int]) -> frozenset[int]:
-    """Smallest action-closed superset of the given carrier elements."""
-    closed = set(subset)
-    frontier = list(closed)
-    els = act.monoid.elements()
-    while frontier:
-        a = frontier.pop()
-        for s in els:
-            b = act.table[s][a]
-            if b not in closed:
-                closed.add(b)
-                frontier.append(b)
-    return frozenset(closed)
-
-
-def restrict_act(act: Act, members: Iterable[int]) -> tuple[Act, dict[int, int]]:
-    """The induced act on an action-closed subset.
-
-    Returns the restricted act and the map from old carrier indices to new.
-    """
-    members = sorted(set(members))
-    pos = {a: i for i, a in enumerate(members)}
-    for a in members:
-        for s in act.monoid.elements():
-            if act.table[s][a] not in pos:
-                raise ValidationError("subset is not action-closed")
-    names = tuple(act.carrier_names[a] for a in members)
-    table = tuple(
-        tuple(pos[act.table[s][a]] for a in members) for s in act.monoid.elements()
-    )
-    return Act(act.monoid, act.side, names, table), pos
 
 
 def enumerate_acts(

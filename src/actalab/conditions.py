@@ -4,8 +4,9 @@ strong flatness as (P) and (E) combined, principal weak flatness, weak
 flatness, and a bounded refutation procedure for flatness itself.
 
 PWF, WF and the flatness search build no tensor product: U ⊗ B is merged on
-copies of B, one per generator of U (one for PWF's aS, two for a skeleton's
-[x]S ∪ [x']S), and WF is PWF together with (W).
+copies of B by the presented merge-find of `tensor`, one copy per generator
+of U (one for PWF's aS, two for a skeleton's [x]S ∪ [x']S), and WF is PWF
+together with (W).
 
 Every "fails" verdict carries a concrete counterexample that re-checks as a
 violation; interpolant reporting on success is opt-in to keep sweeps cheap.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 from .act import Act, find_root
 from .errors import SideMismatchError, UnknownConditionError, ValidationError
@@ -29,7 +30,7 @@ from .monoid import (
     left_cancellable_elements,
     r_set,
 )
-from .tensor import Skeleton, gamma_pairs, standard_subact
+from .tensor import Skeleton, _presented_tensor, _relations, gamma_pairs, standard_subact
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -239,25 +240,6 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: chk.check(c) for c in conds}
 
 
-def _presented_tensor(B: Act, blocks: Sequence[int], copies: int) -> list[int]:
-    """Merge-find parents of U ⊗ B, U the right act generated by x_0, ...,
-    x_(copies-1) with blocks[i*|S| + u] naming x_i·u.  Tensoring is right
-    exact, so U ⊗ B is copies of B, i*|B| + c standing for x_i ⊗ c, modulo
-    (i, u·c) ~ (j, v·c) whenever x_i·u = x_j·v; chaining each (i, u) to the
-    first position of its block generates that equivalence."""
-    n, nb, rows = B.monoid.size, B.size, B.table
-    parent = list(range(copies * nb))
-    first: dict[int, int] = {}
-    for pos, k in enumerate(blocks):
-        pos0 = first.setdefault(k, pos)
-        if pos0 == pos:
-            continue
-        (i, u), (j, v) = divmod(pos, n), divmod(pos0, n)
-        for c, d in zip(rows[u], rows[v]):
-            parent[find_root(parent, i * nb + c)] = find_root(parent, j * nb + d)
-    return parent
-
-
 def _pwf_witness(B: Act) -> dict | None:
     """The PWF failure witness at the first a whose aS ⊗ B does not embed
     in S ⊗ B, or None.
@@ -271,7 +253,7 @@ def _pwf_witness(B: Act) -> dict | None:
     M, rows = B.monoid, B.table
     for a in M.elements():
         arow = M.mul[a]
-        parent = _presented_tensor(B, arow, 1)
+        parent = _presented_tensor(rows, 1, _relations(arow, M.size))
         seen: dict[int, tuple[int, int, int]] = {}
         for k in sorted(set(arow)):
             urow = rows[arow.index(k)]
@@ -343,8 +325,8 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
             gp = gamma_pairs(B, sk)
             if not gp:
                 continue
-            U, x, xp = standard_subact(M, entries)
-            parent = _presented_tensor(B, [row[g] for g in (x, xp) for row in U.table], 2)
+            x_rows = standard_subact(M, entries)
+            parent = _presented_tensor(B.table, 2, _relations(x_rows, n))
             for b, b2 in gp:
                 if find_root(parent, b) != find_root(parent, nb + b2):
                     witness = {

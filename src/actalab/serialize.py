@@ -77,6 +77,9 @@ def act_from_dict(data: dict, M: FiniteMonoid) -> Act:
             table.append([pos[v] for v in row])
         except KeyError as exc:
             raise ValidationError(f"action value {exc.args[0]!r} not in carrier")
+    surplus = [label for label in action if label not in M.element_names]
+    if surplus:
+        raise ValidationError(f"action row {surplus[0]!r} is not a monoid element")
     return validate_act(M, side, carrier, table)
 
 

@@ -2,8 +2,10 @@
 morphism out of a finitely presented quotient of a free act.
 
 A ⊗ B is the quotient of A x B by the equivalence generated by the
-elementary pairs (a*s, b) ~ (a, s*b).  A tossing is the explicit scheme of
-equations certifying a ⊗ b = a' ⊗ b':
+elementary pairs (a*s, b) ~ (a, s*b).  Every tensor product here, and the
+standard quotient of a skeleton, is one merge-find over copies of a left
+act, one copy per generator of a presented right act.  A tossing is the
+explicit scheme of equations certifying a ⊗ b = a' ⊗ b':
 
              b     = s1*b1
   a *s1 = a2*t1    t1*b1 = s2*b2
@@ -30,18 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .act import (
-    Act,
-    ActMorphism,
-    congruence_closure,
-    find_root,
-    free_base_point,
-    free_right_act,
-    morphism_is_valid,
-    quotient_act,
-    restrict_act,
-    subact_generated,
-)
+from .act import Act, ActMorphism, find_root, morphism_is_valid
 from .errors import (
     ElementNotFoundError,
     MonoidMismatchError,
@@ -133,31 +124,57 @@ def _check_sides(A: Act, B: Act):
         raise MonoidMismatchError("tensor factors live over different monoids")
 
 
-def tensor_product(A: Act, B: Act) -> TensorProduct:
-    """Merge-find over A x B on all elementary pairs ((a*s, b), (a, s*b))."""
-    _check_sides(A, B)
-    na, nb = A.size, B.size
-    parent = list(range(na * nb))
-    for s in A.monoid.elements():
-        arow, brow = A.table[s], B.table[s]
-        for a in range(na):
-            asb = arow[a] * nb
-            ab = a * nb
-            for b in range(nb):
-                ra, rb = find_root(parent, asb + b), find_root(parent, ab + brow[b])
-                if ra != rb:
-                    parent[rb] = ra
+def _relations(blocks, n: int):
+    """The defining relations (i, u, j, v), each x_i*u = x_j*v, of a right
+    act generated by x_0, x_1, ..., with blocks[i*n + u] naming x_i*u:
+    each position chained to the first position of its block."""
+    first: dict[int, int] = {}
+    for pos, k in enumerate(blocks):
+        pos0 = first.setdefault(k, pos)
+        if pos0 != pos:
+            yield divmod(pos, n) + divmod(pos0, n)
+
+
+def _presented_tensor(rows, copies: int, relations) -> list[int]:
+    """Merge-find parents of U ⊗ B, for the left act B with table `rows`
+    and the right act U presented by `copies` generators x_i and the
+    relations (i, u, j, v), each x_i*u = x_j*v.  Tensoring is right exact,
+    so U ⊗ B is copies of B, i*|B| + c standing for x_i ⊗ c, modulo
+    (i, u*c) ~ (j, v*c) for every relation and every c."""
+    nb = len(rows[0])
+    parent = list(range(copies * nb))
+    for i, u, j, v in relations:
+        for c, d in zip(rows[u], rows[v]):
+            parent[find_root(parent, i * nb + c)] = find_root(parent, j * nb + d)
+    return parent
+
+
+def _number_classes(parent: list[int]) -> tuple[list[int], list[int]]:
+    """The class of each position, classes numbered by their first
+    position, and those first positions."""
     index_of: dict[int, int] = {}
-    class_of = []
-    members: list[list[tuple[int, int]]] = []
-    for a in range(na):
-        for b in range(nb):
-            root = find_root(parent, a * nb + b)
-            ci = index_of.setdefault(root, len(index_of))
-            if ci == len(members):
-                members.append([])
-            members[ci].append((a, b))
-            class_of.append(ci)
+    class_of, firsts = [], []
+    for pos in range(len(parent)):
+        ci = index_of.setdefault(find_root(parent, pos), len(firsts))
+        if ci == len(firsts):
+            firsts.append(pos)
+        class_of.append(ci)
+    return class_of, firsts
+
+
+def tensor_product(A: Act, B: Act) -> TensorProduct:
+    """A ⊗ B presented by A's elements as generators, x_a*s = x_(a*s): copy
+    a of B holds the pairs (a, b), and the relation (a, s) ~ (a*s, 1) joins
+    every elementary pair (a, s*b) ~ (a*s, b)."""
+    _check_sides(A, B)
+    n, na, nb = A.monoid.size, A.size, B.size
+    blocks = [A.table[s][a] for a in range(na) for s in range(n)]
+    class_of, firsts = _number_classes(
+        _presented_tensor(B.table, na, _relations(blocks, n))
+    )
+    members: list[list[tuple[int, int]]] = [[] for _ in firsts]
+    for pos, ci in enumerate(class_of):
+        members[ci].append(divmod(pos, nb))
     return TensorProduct(A, B, tuple(class_of), tuple(tuple(c) for c in members))
 
 
@@ -350,17 +367,26 @@ def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])
 
 
+def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
+    """Merge-find parents of the standard quotient Q on positions i*|S| + u,
+    each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is m+1 copies of S merged
+    along the relations x_i*s_(i+1) = x_(i+1)*t_(i+1)."""
+    m = Skeleton(entries).length
+    relations = [(i, entries[2 * i], i + 1, entries[2 * i + 1]) for i in range(m)]
+    return _presented_tensor(M.mul, m + 1, relations)
+
+
 @lru_cache(maxsize=4096)
 def _standard_parts(M: FiniteMonoid, entries: tuple[int, ...]):
-    sk = Skeleton(entries)
-    m = sk.length
+    """(Q, marks), Q's classes numbered by their first position and named
+    after it."""
+    block_of, firsts = _number_classes(_standard_merge(M, entries))
     n = M.size
-    F = free_right_act(M, m + 1)
-    seeds = [(i * n + sk.s(i + 1), (i + 1) * n + sk.t(i + 1)) for i in range(m)]
-    cong = congruence_closure(F, seeds)
-    Q, proj = quotient_act(F, cong)
-    marks = tuple(proj.mapping[free_base_point(M, copy)] for copy in range(1, m + 2))
-    return cong, Q, marks
+    reps = [divmod(pos, n) for pos in firsts]
+    names = tuple(f"[x{i + 1}#{M.element_names[u]}]" for i, u in reps)
+    table = tuple(tuple(block_of[i * n + M.mul[u][s]] for i, u in reps) for s in M.elements())
+    marks = tuple(block_of[pos + M.identity] for pos in range(0, len(block_of), n))
+    return Act(M, "right", names, table), marks
 
 
 def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int, ...]]:
@@ -369,17 +395,18 @@ def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int,
 
     The delta formula of sk holds between [x] and [x'] by construction.
     """
-    _, Q, marks = _standard_parts(M, sk.entries)
-    return Q, marks
+    return _standard_parts(M, sk.entries)
 
 
-@lru_cache(maxsize=4096)
-def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]):
-    """Cached ([x]S ∪ [x']S, position of [x], position of [x']) for a skeleton."""
-    Q, marks = standard_tossing_act(M, Skeleton(entries))
-    members = subact_generated(Q, {marks[0], marks[-1]})
-    U, pos = restrict_act(Q, members)
-    return U, pos[marks[0]], pos[marks[-1]]
+@lru_cache(maxsize=8192)
+def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Cached roots of x*u then x'*u, u in S, in the standard quotient's
+    merge-find: a table presenting [x]S ∪ [x']S by its generators [x] and
+    [x'], as _relations reads it."""
+    parent = _standard_merge(M, entries)
+    n = M.size
+    last = len(parent) - n
+    return tuple(find_root(parent, pos) for pos in (*range(n), *range(last, last + n)))
 
 
 def induced_morphism(
@@ -408,12 +435,11 @@ def induced_morphism(
     if lhs != rhs:
         broken = next(i for i, (l, r) in enumerate(zip(lhs, rhs), 1) if l != r)
         raise WitnessesInvalidError(broken)
-    cong, Q, marks = _standard_parts(M, e)
-    n = M.size
+    Q, marks = _standard_parts(M, e)
     mapping = [-1] * Q.size
-    for copy, base in enumerate(witnesses):
-        for s in range(n):
-            q = cong.block_of[copy * n + s]
+    for mark, base in zip(marks, witnesses):
+        for s in M.elements():
+            q = Q.table[s][mark]
             img = ttbl[s][base]
             if mapping[q] == -1:
                 mapping[q] = img

@@ -5,15 +5,149 @@ sets are found by exhaustive subset search, tossing existence by full
 witness enumeration, congruence minimality by scanning every partition,
 isomorphism-canonical acts by trying every carrier relabelling, and
 principal, weak and bounded flatness by building the tensor products
-themselves.
+themselves.  Those tensor products merge A x B on its elementary pairs, and
+the standard quotients come from the free act through a worklist
+congruence closure, so no oracle shares the library's presented merge.
 """
 
 from itertools import combinations, permutations, product
+from typing import Iterable
 
-from actalab.act import regular_act, restrict_act
+from actalab.act import (
+    Act,
+    ActCongruence,
+    ActMorphism,
+    congruence_closure,
+    find_root,
+    regular_act,
+)
 from actalab.conditions import ConditionReport
-from actalab.monoid import PairSubact, RightIdeal, principal_right_ideal
-from actalab.tensor import Skeleton, gamma_pairs, standard_subact, tensor_product
+from actalab.errors import ValidationError
+from actalab.monoid import FiniteMonoid, PairSubact, RightIdeal, principal_right_ideal
+from actalab.tensor import Skeleton, TensorProduct, gamma_pairs
+
+
+def free_right_act(M: FiniteMonoid, k: int) -> Act:
+    """The free right act on k generators: k tagged copies of S.
+
+    Carrier element (copy i, s) is labelled "xi#s" and the action is
+    (i, s)*t = (i, st); the base point of copy i is (i, 1).
+    """
+    if k < 1:
+        raise ValidationError("free act needs at least one generator")
+    n = M.size
+    names = tuple(
+        f"x{i + 1}#{M.element_names[s]}" for i in range(k) for s in range(n)
+    )
+    table = tuple(
+        tuple(i * n + M.mul[s][t] for i in range(k) for s in range(n))
+        for t in M.elements()
+    )
+    return Act(M, "right", names, table)
+
+
+def free_base_point(M: FiniteMonoid, copy: int) -> int:
+    """Carrier index of (copy, 1); copies are 1-based."""
+    return (copy - 1) * M.size + M.identity
+
+
+def quotient_act(act: Act, cong: ActCongruence) -> tuple[Act, ActMorphism]:
+    """The act on congruence blocks plus the canonical projection."""
+    if cong.act != act:
+        raise ValidationError("congruence does not belong to this act")
+    block_of = cong.block_of
+    reps = [block[0] for block in cong.blocks]
+    names = tuple(f"[{act.carrier_names[r]}]" for r in reps)
+    table = tuple(
+        tuple(block_of[act.table[s][r]] for r in reps) for s in act.monoid.elements()
+    )
+    quotient = Act(act.monoid, act.side, names, table)
+    return quotient, ActMorphism(act, quotient, block_of)
+
+
+def subact_generated(act: Act, subset: Iterable[int]) -> frozenset[int]:
+    """Smallest action-closed superset of the given carrier elements."""
+    closed = set(subset)
+    frontier = list(closed)
+    els = act.monoid.elements()
+    while frontier:
+        a = frontier.pop()
+        for s in els:
+            b = act.table[s][a]
+            if b not in closed:
+                closed.add(b)
+                frontier.append(b)
+    return frozenset(closed)
+
+
+def restrict_act(act: Act, members: Iterable[int]) -> tuple[Act, dict[int, int]]:
+    """The induced act on an action-closed subset.
+
+    Returns the restricted act and the map from old carrier indices to new.
+    """
+    members = sorted(set(members))
+    pos = {a: i for i, a in enumerate(members)}
+    for a in members:
+        for s in act.monoid.elements():
+            if act.table[s][a] not in pos:
+                raise ValidationError("subset is not action-closed")
+    names = tuple(act.carrier_names[a] for a in members)
+    table = tuple(
+        tuple(pos[act.table[s][a]] for a in members) for s in act.monoid.elements()
+    )
+    return Act(act.monoid, act.side, names, table), pos
+
+
+def elementary_tensor(A: Act, B: Act) -> TensorProduct:
+    """A ⊗ B by merge-find over A x B on all elementary pairs
+    ((a*s, b), (a, s*b)), classes numbered by their first pair."""
+    na, nb = A.size, B.size
+    parent = list(range(na * nb))
+    for s in A.monoid.elements():
+        arow, brow = A.table[s], B.table[s]
+        for a in range(na):
+            asb = arow[a] * nb
+            ab = a * nb
+            for b in range(nb):
+                ra, rb = find_root(parent, asb + b), find_root(parent, ab + brow[b])
+                if ra != rb:
+                    parent[rb] = ra
+    index_of: dict[int, int] = {}
+    class_of = []
+    members: list[list[tuple[int, int]]] = []
+    for a in range(na):
+        for b in range(nb):
+            root = find_root(parent, a * nb + b)
+            ci = index_of.setdefault(root, len(index_of))
+            if ci == len(members):
+                members.append([])
+            members[ci].append((a, b))
+            class_of.append(ci)
+    return TensorProduct(A, B, tuple(class_of), tuple(tuple(c) for c in members))
+
+
+def standard_quotient_oracle(M, entries):
+    """(Q, marks) of a skeleton's standard quotient: the free right act on
+    m+1 generators modulo the congruence the seeds
+    (x_i*s_(i+1), x_(i+1)*t_(i+1)) generate, and the classes of the base
+    points."""
+    sk = Skeleton(entries)
+    m = sk.length
+    n = M.size
+    F = free_right_act(M, m + 1)
+    seeds = [(i * n + sk.s(i + 1), (i + 1) * n + sk.t(i + 1)) for i in range(m)]
+    cong = congruence_closure(F, seeds)
+    Q, proj = quotient_act(F, cong)
+    marks = tuple(proj.mapping[free_base_point(M, copy)] for copy in range(1, m + 2))
+    return Q, marks
+
+
+def standard_subact_oracle(M, entries):
+    """([x]S ∪ [x']S, position of [x], position of [x']), restricted out of
+    the oracle's standard quotient."""
+    Q, marks = standard_quotient_oracle(M, entries)
+    U, pos = restrict_act(Q, subact_generated(Q, {marks[0], marks[-1]}))
+    return U, pos[marks[0]], pos[marks[-1]]
 
 
 def _items_and_orbits(structure):
@@ -395,14 +529,14 @@ def _c_flat(B, principal: bool) -> ConditionReport:
     M = B.monoid
     cid = "PWF" if principal else "WF"
     S_right = regular_act(M, "right")
-    SB = tensor_product(S_right, B)
+    SB = elementary_tensor(S_right, B)
     if principal:
         family = [(a, principal_right_ideal(M, a).members) for a in M.elements()]
     else:
         family = [(None, members) for members in all_right_ideals(M)]
     for a, members in family:
         members = sorted(members)
-        KB = tensor_product(restrict_act(S_right, members)[0], B)
+        KB = elementary_tensor(restrict_act(S_right, members)[0], B)
         seen: dict[int, tuple[int, int]] = {}
         for cls in KB.classes:
             k, b2 = cls[0]
@@ -432,8 +566,8 @@ def wf_witness_is_genuine(B, witness) -> bool:
     M = B.monoid
     members = sorted(M.index(x) for x in witness["ideal"])
     S = regular_act(M, "right")
-    SB = tensor_product(S, B)
-    KB = tensor_product(restrict_act(S, members)[0], B)
+    SB = elementary_tensor(S, B)
+    KB = elementary_tensor(restrict_act(S, members)[0], B)
     (m1, b1), (m2, b2) = (
         (M.index(k), B.index(b)) for k, b in (witness["pair1"], witness["pair2"])
     )
@@ -456,8 +590,8 @@ def flat_bounded_oracle(B, m_max: int) -> ConditionReport:
             gp = gamma_pairs(B, sk)
             if not gp:
                 continue
-            U, x_pos, xp_pos = standard_subact(M, entries)
-            UB = tensor_product(U, B)
+            U, x_pos, xp_pos = standard_subact_oracle(M, entries)
+            UB = elementary_tensor(U, B)
             for b, b2 in gp:
                 if not UB.same_class(x_pos, b, xp_pos, b2):
                     witness = {

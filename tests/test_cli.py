@@ -439,6 +439,7 @@ def test_malformed_monoid_and_act_json_name_the_key(z2_file, z2_acts, tmp_path, 
         ("side", ["left"], "'side'"),
         ("monoid", ["Z2"], "'monoid'"),
         ("action", [], "'action'"),
+        ("action", dict(act["action"], h=act["action"]["1"]), "'h'"),
     ]
     for key, value, named in act_cases:
         bad.write_text(json.dumps(edited(act, key, value)))

@@ -7,8 +7,11 @@ from helpers import (
     all_right_ideals,
     condition_holds_brute,
     condition_violated,
+    elementary_tensor,
     flat_bounded_oracle,
     is_right_closed,
+    restrict_act,
+    standard_subact_oracle,
     wf_witness_is_genuine,
 )
 
@@ -169,8 +172,6 @@ def test_pwf_wf_match_tensor_oracle(zoo_monoids, left_zero):
 
 def test_pwf_failure_witness_is_genuine(null2, natmin3):
     """A PWF witness names (a, b, b2-ish pairs) equal in S⊗B but split in aS⊗B."""
-    from actalab.act import restrict_act
-
     found = 0
     for M in (null2, natmin3):
         for B in al.enumerate_acts(M, "left", 3):
@@ -183,8 +184,8 @@ def test_pwf_failure_witness_is_genuine(null2, natmin3):
             S = al.regular_act(M, "right")
             members = sorted(al.principal_right_ideal(M, a).members)
             K, pos = restrict_act(S, members)
-            SB = al.tensor_product(S, B)
-            KB = al.tensor_product(K, B)
+            SB = elementary_tensor(S, B)
+            KB = elementary_tensor(K, B)
             m1, b1 = M.index(w["pair1"][0]), B.index(w["pair1"][1])
             m2, b2 = M.index(w["pair2"][0]), B.index(w["pair2"][1])
             assert SB.same_class(m1, b1, m2, b2)
@@ -229,9 +230,22 @@ def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
     assert verdicts == {"fails", "passes-up-to-bound"}
 
 
+def test_flat_bound_three_keeps_every_standard_subact(natmin3):
+    """The 16 + 256 + 4096 skeletons of length <= 3 over natmin3 (4
+    elements) all fit standard_subact's cache, so a sweep of acts at m=3
+    merges each standard quotient once."""
+    from actalab.tensor import standard_subact
+
+    assert natmin3.size == 4
+    standard_subact.cache_clear()
+    for B in al.enumerate_acts(natmin3, "left", 2):
+        al.check_flat_bounded(B, 3)
+    assert standard_subact.cache_info().misses == 4368
+
+
 def test_flat_bounded_failure_witness_revalidates(null2):
     """If the bounded check refutes flatness, the witness reproduces it."""
-    from actalab.tensor import Skeleton, standard_subact
+    from actalab.tensor import Skeleton
 
     hits = 0
     for B in al.enumerate_acts(null2, "left", 3):
@@ -244,8 +258,8 @@ def test_flat_bounded_failure_witness_revalidates(null2):
         sk = Skeleton(entries)
         b, b2 = B.index(w["b"]), B.index(w["b2"])
         assert al.eval_gamma(B, sk, b, b2)[0]
-        U, x, xp = standard_subact(null2, entries)
-        UB = al.tensor_product(U, B)
+        U, x, xp = standard_subact_oracle(null2, entries)
+        UB = elementary_tensor(U, B)
         assert not UB.same_class(x, b, xp, b2)
     # at least one refutation should exist at this scale, else the check
     # would be vacuous here

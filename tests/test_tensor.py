@@ -9,8 +9,20 @@ from actalab.errors import (
     SideMismatchError,
     WitnessesInvalidError,
 )
-from actalab.tensor import Skeleton, Tossing, gamma_pairs
-from helpers import least_witnesses_brute, tossing_exists_brute
+from actalab.tensor import (
+    Skeleton,
+    Tossing,
+    gamma_pairs,
+    standard_subact,
+)
+from helpers import (
+    free_right_act,
+    least_witnesses_brute,
+    quotient_act,
+    standard_quotient_oracle,
+    standard_subact_oracle,
+    tossing_exists_brute,
+)
 
 
 def test_trivial_monoid_tensor_is_product(trivial):
@@ -232,9 +244,9 @@ def test_skeleton_factorization_small(z2):
 def test_morphism_transport(natmin3):
     """delta survives along any right-act morphism image."""
     M = natmin3
-    A = al.free_right_act(M, 2)
+    A = free_right_act(M, 2)
     cong = al.congruence_closure(A, [(0, M.size)])
-    Q, proj = al.quotient_act(A, cong)
+    Q, proj = quotient_act(A, cong)
     assert morphism_is_valid(proj)
     for entries in [(0, 1), (1, 2, 0, 0)]:
         sk = Skeleton(entries)
@@ -264,6 +276,30 @@ def test_standard_act_satisfies_delta(z2, natmin3):
             Q, marks = al.standard_tossing_act(M, sk)
             ok, _ = al.eval_delta(Q, sk, marks[0], marks[-1])
             assert ok
+
+
+def _split(labels):
+    """The partition a list of labels makes of its positions, as the
+    position of each label's first occurrence."""
+    return [labels.index(v) for v in labels]
+
+
+def test_standard_quotient_matches_free_act_oracle(zoo_monoids, left_zero, z2, null2):
+    """The merged standard quotient against the free act's congruence
+    quotient, on every skeleton of length <= 2 over the zoo and left_zero
+    and of length 3 over z2 and null2: the same act (table and carrier
+    names) and marks, and standard_subact's roots split the positions x*u,
+    x'*u as the restricted [x]S ∪ [x']S does."""
+    cases = [(M, (1, 2)) for M in zoo_monoids + [left_zero]] + [(z2, (3,)), (null2, (3,))]
+    for M, lengths in cases:
+        for m in lengths:
+            for entries in product(range(M.size), repeat=2 * m):
+                Q, marks = al.standard_tossing_act(M, Skeleton(entries))
+                assert (Q, marks) == standard_quotient_oracle(M, entries), entries
+                U, x, xp = standard_subact_oracle(M, entries)
+                generated = [U.table[u][g] for g in (x, xp) for u in M.elements()]
+                roots = list(standard_subact(M, entries))
+                assert _split(roots) == _split(generated), (M.name, entries)
 
 
 def test_induced_morphism_identity(z2):

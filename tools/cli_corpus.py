@@ -11,7 +11,8 @@ exit code is printed with "1" and the exception's type, as the installed
 `actalab` command would exit 1 with a traceback.
 
 The corpus covers the zoo monoids with a few of their small acts: every
-`check` condition with and without --witnesses --json, `tensor`,
+`check` condition with and without --witnesses --json, flatness at
+skeleton bound 1 and, over the monoids of order <= 3, bound 3, `tensor`,
 `tossing`, `axioms emit|modelcheck|verify`, `replace compute|verify`,
 `enumerate`, `zoo`, malformed monoid and act files, and the budget guards.
 The input files are written to a temporary directory, which is also the
@@ -96,8 +97,9 @@ def corpus_for(index, M):
             base = ["check", "--condition", cond, "--act", f, "--monoid", mfile]
             run(base)
             run(base + ["--witnesses", "--json"])
-        run(["check", "--condition", "flat", "--act", f, "--monoid", mfile,
-             "--flat-bound", "1", "--json"])
+        for bound in ("1", "3") if M.size <= 3 else ("1",):
+            run(["check", "--condition", "flat", "--act", f, "--monoid", mfile,
+                 "--flat-bound", bound, "--json"])
 
     for (A, af), (B, bf) in product(zip(rights, rfiles), zip(lefts, lfiles)):
         base = ["--monoid", mfile, "--right-act", af, "--left-act", bf]
