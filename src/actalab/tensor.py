@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .act import Act, ActMorphism, find_root, morphism_is_valid
+from .act import Act, ActMorphism, find_root
 from .errors import (
     ElementNotFoundError,
     MonoidMismatchError,
@@ -199,11 +199,15 @@ def _walk(table, steps, v0):
     return layers, reach
 
 
-def _pick(table, steps, layers, end):
-    """Witnesses for a zigzag whose walk reaches `end`: walking back from
-    the end, the first x in each layer whose p*x is the value the next
-    step needs.  Among all witness tuples this is the one whose reverse is
-    lexicographically least."""
+def _solve(table, steps, v0, end):
+    """(True, witnesses) for a zigzag from v0 to `end`, else (False, None).
+    The witnesses are picked walking back from the end: the first x in
+    each layer whose p*x is the value the next step needs.  Among all
+    witness tuples this is the one whose reverse is lexicographically
+    least."""
+    layers, reach = _walk(table, steps, v0)
+    if end not in reach:
+        return (False, None)
     wits = []
     for i in range(len(layers) - 1, -1, -1):
         prow = table[steps[2 * i + 1]]
@@ -213,7 +217,7 @@ def _pick(table, steps, layers, end):
         wits.append(x)
         end = table[steps[2 * i]][x]
     wits.reverse()
-    return tuple(wits)
+    return (True, tuple(wits))
 
 
 def _equations(table, steps, xs, first, last):
@@ -231,13 +235,20 @@ def _equations(table, steps, xs, first, last):
 
 
 def validate_tossing(t: Tossing) -> bool:
-    """Re-check every defining equation of the scheme in its two acts."""
+    """Re-check every defining equation of the scheme in its two acts;
+    False as well for an index outside the monoid or its act."""
     A, B, sk = t.right_act, t.left_act, t.skeleton
     m = sk.length
     if len(t.a_witnesses) != m - 1 or len(t.b_witnesses) != m:
         return False
     a, b = t.start
     a2, b2 = t.end
+    if not (
+        all(0 <= s < A.monoid.size for s in sk.entries)
+        and all(0 <= x < A.size for x in (a, a2, *t.a_witnesses))
+        and all(0 <= x < B.size for x in (b, b2, *t.b_witnesses))
+    ):
+        return False
     at, e = A.table, sk.entries
     dl, dr = _equations(at, e[1:-1], t.a_witnesses, at[e[0]][a], at[e[-1]][a2])
     gl, gr = _equations(B.table, e, t.b_witnesses, b, b2)
@@ -317,13 +328,11 @@ def find_tossing(A: Act, B: Act, a: int, b: int, a2: int, b2: int) -> Tossing | 
     m = len(entries) // 2
     # after each R step the B coordinate is b_i; after each non-final L
     # step the A coordinate is a_{i+1}
-    toss = Tossing(
+    return Tossing(
         A, B, Skeleton(tuple(entries)), (a, b), nodes[-1],
         tuple(nodes[2 * i][0] for i in range(1, m)),
         tuple(nodes[2 * i + 1][1] for i in range(m)),
     )
-    assert validate_tossing(toss), "assembled tossing failed its own equations"
-    return toss
 
 
 def eval_delta(
@@ -338,12 +347,7 @@ def eval_delta(
     if A.side != "right":
         raise SideMismatchError("delta formulas evaluate in a right act")
     tbl, e = A.table, sk.entries
-    steps = e[1:-1]
-    layers, reach = _walk(tbl, steps, tbl[e[0]][a])
-    end = tbl[e[-1]][a2]
-    if end not in reach:
-        return (False, None)
-    return (True, _pick(tbl, steps, layers, end))
+    return _solve(tbl, e[1:-1], tbl[e[0]][a], tbl[e[-1]][a2])
 
 
 def eval_gamma(
@@ -354,10 +358,7 @@ def eval_gamma(
     solved as the zigzag of steps (s_i, t_i) from b to b2."""
     if B.side != "left":
         raise SideMismatchError("gamma formulas evaluate in a left act")
-    layers, reach = _walk(B.table, sk.entries, b)
-    if b2 not in reach:
-        return (False, None)
-    return (True, _pick(B.table, sk.entries, layers, b2))
+    return _solve(B.table, sk.entries, b, b2)
 
 
 def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
@@ -416,41 +417,37 @@ def induced_morphism(
     witness chain a = a_1, a_2, ..., a_{m+1} = a' for the delta equations
     a_i*s_i = a_{i+1}*t_i.
 
-    The free act maps by (copy i, s) -> a_i * s; both sides of every
-    relation pair land on equal elements exactly because the chain
-    satisfies its equations, so the map factors through the quotient.
-    Raises WitnessesInvalid when an equation fails.
+    The free act maps by (copy i, s) -> a_i * s, and each class takes its
+    first image.  Every relation puts its two sides in one class, so a
+    class meets two images exactly when the chain breaks an equation; with
+    none, every class [x_i]*s maps to a_i*s, which is the morphism law,
+    and [x_i] maps to a_i.  Raises WitnessesInvalidError at the first
+    broken equation, ElementNotFoundError for a witness outside `target`.
     """
     if target.side != "right":
         raise SideMismatchError("induced morphism lands in a right act")
-    m = sk.length
-    if len(witnesses) != m + 1:
+    if len(witnesses) != sk.length + 1:
         raise WitnessesInvalidError(-1)
-    ttbl = target.table
-    e = sk.entries
-    lhs, rhs = _equations(
-        ttbl, e[1:-1], witnesses[1:-1], ttbl[e[0]][witnesses[0]],
-        ttbl[e[-1]][witnesses[-1]],
-    )
-    if lhs != rhs:
-        broken = next(i for i, (l, r) in enumerate(zip(lhs, rhs), 1) if l != r)
-        raise WitnessesInvalidError(broken)
+    for w in witnesses:
+        if not (0 <= w < target.size):
+            raise ElementNotFoundError(str(w), "right act carrier")
+    ttbl, e = target.table, sk.entries
     Q, marks = _standard_parts(M, e)
     mapping = [-1] * Q.size
     for mark, base in zip(marks, witnesses):
         for s in M.elements():
-            q = Q.table[s][mark]
-            img = ttbl[s][base]
+            q, img = Q.table[s][mark], ttbl[s][base]
             if mapping[q] == -1:
                 mapping[q] = img
-            else:
-                # the generated congruence sits inside the kernel of any
-                # map respecting the relation pairs
-                assert mapping[q] == img, "relation class mapped inconsistently"
-    nu = ActMorphism(Q, target, tuple(mapping))
-    assert morphism_is_valid(nu), "induced map failed the morphism law"
-    assert mapping[marks[0]] == witnesses[0] and mapping[marks[-1]] == witnesses[-1]
-    return nu
+            elif mapping[q] != img:
+                lhs, rhs = _equations(
+                    ttbl, e[1:-1], witnesses[1:-1], ttbl[e[0]][witnesses[0]],
+                    ttbl[e[-1]][witnesses[-1]],
+                )
+                raise WitnessesInvalidError(
+                    next(i for i, (l, r) in enumerate(zip(lhs, rhs), 1) if l != r)
+                )
+    return ActMorphism(Q, target, tuple(mapping))
 
 
 def format_tossing(t: Tossing) -> str:

@@ -212,6 +212,18 @@ def tossing_exists_brute(A, B, sk, a, b, a2, b2) -> bool:
     return False
 
 
+def first_broken_delta(A, sk, chain):
+    """The first j, counting from 1, with chain[j-1]*s_j != chain[j]*t_j in
+    the right act A, read directly off its table; None when every delta
+    equation of the chain holds."""
+    T = A.table
+    return next(
+        (j for j in range(1, sk.length + 1)
+         if T[sk.s(j)][chain[j - 1]] != T[sk.t(j)][chain[j]]),
+        None,
+    )
+
+
 def least_witnesses_brute(act, sk, x, x2):
     """The witnesses eval_delta (right act) or eval_gamma (left act) returns
     for the endpoints x, x2: among all tuples satisfying the scheme's

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import actalab as al
 from actalab.act import morphism_is_valid
 from actalab.errors import (
+    ElementNotFoundError,
     MonoidMismatchError,
     SideMismatchError,
     WitnessesInvalidError,
@@ -16,6 +18,7 @@ from actalab.tensor import (
     standard_subact,
 )
 from helpers import (
+    first_broken_delta,
     free_right_act,
     least_witnesses_brute,
     quotient_act,
@@ -124,6 +127,18 @@ def test_validate_rejects_corrupted_witness(z2):
     )
     assert al.validate_tossing(toss)
     assert not al.validate_tossing(bad)
+    # an index outside its act or the monoid is refused, not wrapped
+    toss = al.find_tossing(S, B, 0, 1, 1, 0)
+    assert toss.b_witnesses == (0,) and al.validate_tossing(toss)
+    wrapped = Skeleton(tuple(s - z2.size for s in toss.skeleton.entries))
+    for bad in (
+        dataclasses.replace(toss, b_witnesses=(-2,)),
+        dataclasses.replace(toss, b_witnesses=(5,)),
+        dataclasses.replace(toss, start=(-2, 1)),
+        dataclasses.replace(toss, end=(1, 2)),
+        dataclasses.replace(toss, skeleton=wrapped),
+    ):
+        assert not al.validate_tossing(bad)
 
 
 def test_eval_delta_examples(z2):
@@ -206,21 +221,19 @@ def test_gamma_pairs_matches_eval(small_cases):
                     assert ((b, b2) in table) == al.eval_gamma(B, sk, b, b2)[0]
 
 
-def test_oracle_equivalence_small(null2):
-    """Tensor classes agree with find_tossing on every pair of pairs."""
-    acts_r = list(al.enumerate_acts(null2, "right", 2))
-    acts_l = list(al.enumerate_acts(null2, "left", 2))
-    for A in acts_r:
-        for B in acts_l:
+def test_oracle_equivalence_small(null2, natmin3):
+    """Tensor classes agree with find_tossing on every pair of pairs, and
+    every tossing found validates."""
+    for M in (null2, natmin3):
+        acts_l = list(al.enumerate_acts(M, "left", 2))
+        for A, B in product(al.enumerate_acts(M, "right", 2), acts_l):
             T = al.tensor_product(A, B)
-            for a in A.carrier():
-                for b in B.carrier():
-                    for a2 in A.carrier():
-                        for b2 in B.carrier():
-                            toss = al.find_tossing(A, B, a, b, a2, b2)
-                            assert (toss is not None) == T.same_class(a, b, a2, b2)
-                            if toss is not None:
-                                assert al.validate_tossing(toss)
+            pairs = list(product(A.carrier(), B.carrier()))
+            for (a, b), (a2, b2) in product(pairs, repeat=2):
+                toss = al.find_tossing(A, B, a, b, a2, b2)
+                assert (toss is not None) == T.same_class(a, b, a2, b2)
+                if toss is not None:
+                    assert al.validate_tossing(toss)
 
 
 def test_skeleton_factorization_small(z2):
@@ -328,6 +341,39 @@ def test_induced_morphism_rejects_bad_witnesses(z2):
     S = al.regular_act(z2, "right")
     with pytest.raises(WitnessesInvalidError):
         al.induced_morphism(z2, Skeleton((1, 1)), S, (0, 1))
+
+
+def test_induced_morphism_every_chain(z2, null2, natmin3):
+    """Every chain in A^(m+1), for every skeleton of length <= 2 over z2,
+    null2 and natmin3 and every right act A of size <= 2: a valid chain
+    induces a morphism that sends the marks onto the chain, a broken one is
+    refused at the first broken equation, and a witness outside A is not
+    an element."""
+    valid = broken = 0
+    for M in (z2, null2, natmin3):
+        rights = list(al.enumerate_acts(M, "right", 2))
+        for m in (1, 2):
+            for entries in product(M.elements(), repeat=2 * m):
+                sk = Skeleton(entries)
+                Q, marks = al.standard_tossing_act(M, sk)
+                for A in rights:
+                    for chain in product(A.carrier(), repeat=m + 1):
+                        j = first_broken_delta(A, sk, chain)
+                        if j is None:
+                            nu = al.induced_morphism(M, sk, A, chain)
+                            assert nu.source == Q and morphism_is_valid(nu)
+                            assert tuple(nu.mapping[q] for q in marks) == chain
+                            valid += 1
+                            continue
+                        with pytest.raises(WitnessesInvalidError) as err:
+                            al.induced_morphism(M, sk, A, chain)
+                        assert err.value.position == j, (M.name, entries, chain)
+                        broken += 1
+                    for i, w in product(range(m + 1), (-1, A.size)):
+                        chain = (0,) * i + (w,) + (0,) * (m - i)
+                        with pytest.raises(ElementNotFoundError):
+                            al.induced_morphism(M, sk, A, chain)
+    assert (valid, broken) == (7570, 9936)
 
 
 def test_format_tossing_mentions_labels(z2):
