@@ -422,10 +422,13 @@ def induced_morphism(
     class meets two images exactly when the chain breaks an equation; with
     none, every class [x_i]*s maps to a_i*s, which is the morphism law,
     and [x_i] maps to a_i.  Raises WitnessesInvalidError at the first
-    broken equation, ElementNotFoundError for a witness outside `target`.
+    broken equation, ElementNotFoundError for a witness outside `target`,
+    MonoidMismatchError for a `target` over another monoid.
     """
     if target.side != "right":
         raise SideMismatchError("induced morphism lands in a right act")
+    if target.monoid is not M and target.monoid != M:
+        raise MonoidMismatchError("induced morphism lands in an act over another monoid")
     if len(witnesses) != sk.length + 1:
         raise WitnessesInvalidError(-1)
     for w in witnesses:

@@ -343,6 +343,14 @@ def test_induced_morphism_rejects_bad_witnesses(z2):
         al.induced_morphism(z2, Skeleton((1, 1)), S, (0, 1))
 
 
+def test_induced_morphism_rejects_other_monoid(z2, null2):
+    """A chain that holds in a right act over null2 still induces no
+    morphism out of a z2 quotient."""
+    N = al.regular_act(null2, "right")
+    with pytest.raises(MonoidMismatchError):
+        al.induced_morphism(z2, Skeleton((0, 0)), N, (0, 0))
+
+
 def test_induced_morphism_every_chain(z2, null2, natmin3):
     """Every chain in A^(m+1), for every skeleton of length <= 2 over z2,
     null2 and natmin3 and every right act A of size <= 2: a valid chain
