@@ -277,40 +277,47 @@ def _edges(A: Act, B: Act):
     return adj
 
 
-def find_tossing(A: Act, B: Act, a: int, b: int, a2: int, b2: int) -> Tossing | None:
-    """Search the elementary-step graph and normalize the path into a tossing.
+@lru_cache(maxsize=16)
+def _tossing_index(A: Act, B: Act):
+    """The elementary-step graph of A x B and its BFS forests by source,
+    each forest filled on the first query from its source."""
+    return _edges(A, B), {}
 
-    BFS gives a shortest raw path; consecutive same-direction steps are
-    separated by identity-labelled self-loops so the result alternates
-    R, L, R, L, ... as the scheme requires.  Returns None when the pairs
-    are not ⊗-equal.
+
+def find_tossing(A: Act, B: Act, a: int, b: int, a2: int, b2: int) -> Tossing | None:
+    """Read a shortest path off the BFS forest and normalize it into a tossing.
+
+    The forest from (a, b) is built once per (A, B) and source.
+    Consecutive same-direction steps are separated by identity-labelled
+    self-loops so the result alternates R, L, R, L, ... as the scheme
+    requires.  Returns None when the pairs are not ⊗-equal.
     """
     _check_sides(A, B)
     nb = B.size
     e = A.monoid.identity
     src = _pair_index(A, B, a, b)
     dst = _pair_index(A, B, a2, b2)
-    path: list[tuple[str, int, tuple[int, int]]] = []  # (kind, s, node reached)
-    if src != dst:
-        adj = _edges(A, B)
-        prev: dict[int, tuple[int, str, int]] = {src: (-1, "", -1)}
+    adj, forests = _tossing_index(A, B)
+    prev = forests.get(src)
+    if prev is None:
+        # a full BFS gives every node the parent a search stopping at dst would
+        prev = forests[src] = {src: (-1, "", -1)}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            if u == dst:
-                break
             for v, kind, s in adj[u]:
                 if v not in prev:
                     prev[v] = (u, kind, s)
                     queue.append(v)
-        if dst not in prev:
-            return None
-        cur = dst
-        while cur != src:
-            p, kind, s = prev[cur]
-            path.append((kind, s, divmod(cur, nb)))
-            cur = p
-        path.reverse()
+    if dst not in prev:
+        return None
+    path: list[tuple[str, int, tuple[int, int]]] = []  # (kind, s, node reached)
+    cur = dst
+    while cur != src:
+        p, kind, s = prev[cur]
+        path.append((kind, s, divmod(cur, nb)))
+        cur = p
+    path.reverse()
 
     # R steps take the even places of the skeleton and L steps the odd ones;
     # an identity step fills a place the path skips and makes the count even
@@ -379,15 +386,18 @@ def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _standard_parts(M: FiniteMonoid, entries: tuple[int, ...]):
-    """(Q, marks), Q's classes numbered by their first position and named
-    after it."""
+    """(Q, marks, reps), Q's classes numbered by their first position
+    (i, u), listed in reps, and named after it."""
+    for s in entries:
+        if not (0 <= s < M.size):
+            raise ElementNotFoundError(str(s), "monoid")
     block_of, firsts = _number_classes(_standard_merge(M, entries))
     n = M.size
-    reps = [divmod(pos, n) for pos in firsts]
+    reps = tuple(divmod(pos, n) for pos in firsts)
     names = tuple(f"[x{i + 1}#{M.element_names[u]}]" for i, u in reps)
     table = tuple(tuple(block_of[i * n + M.mul[u][s]] for i, u in reps) for s in M.elements())
     marks = tuple(block_of[pos + M.identity] for pos in range(0, len(block_of), n))
-    return Act(M, "right", names, table), marks
+    return Act(M, "right", names, table), marks, reps
 
 
 def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int, ...]]:
@@ -395,8 +405,9 @@ def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int,
     x_i*s_i ~ x_{i+1}*t_i, plus the classes [x], [x_2], ..., [x'].
 
     The delta formula of sk holds between [x] and [x'] by construction.
+    Raises ElementNotFoundError for a skeleton entry outside M.
     """
-    return _standard_parts(M, sk.entries)
+    return _standard_parts(M, sk.entries)[:2]
 
 
 @lru_cache(maxsize=8192)
@@ -417,40 +428,30 @@ def induced_morphism(
     witness chain a = a_1, a_2, ..., a_{m+1} = a' for the delta equations
     a_i*s_i = a_{i+1}*t_i.
 
-    The free act maps by (copy i, s) -> a_i * s, and each class takes its
-    first image.  Every relation puts its two sides in one class, so a
-    class meets two images exactly when the chain breaks an equation; with
-    none, every class [x_i]*s maps to a_i*s, which is the morphism law,
-    and [x_i] maps to a_i.  Raises WitnessesInvalidError at the first
-    broken equation, ElementNotFoundError for a witness outside `target`,
-    MonoidMismatchError for a `target` over another monoid.
+    The free act maps by (copy i, u) -> a_i * u.  When the chain holds
+    every equation, each relation's two sides have one image, so this map
+    factors through Q: every class [x_i]*u, read at its first position,
+    maps to a_i*u, and [x_i] maps to a_i.  Raises WitnessesInvalidError
+    at the first broken equation, ElementNotFoundError for a witness
+    outside `target` or a skeleton entry outside M, MonoidMismatchError
+    for a `target` over another monoid.
     """
     if target.side != "right":
         raise SideMismatchError("induced morphism lands in a right act")
     if target.monoid is not M and target.monoid != M:
         raise MonoidMismatchError("induced morphism lands in an act over another monoid")
-    if len(witnesses) != sk.length + 1:
+    m, n = sk.length, target.size
+    if len(witnesses) != m + 1:
         raise WitnessesInvalidError(-1)
     for w in witnesses:
-        if not (0 <= w < target.size):
+        if not (0 <= w < n):
             raise ElementNotFoundError(str(w), "right act carrier")
     ttbl, e = target.table, sk.entries
-    Q, marks = _standard_parts(M, e)
-    mapping = [-1] * Q.size
-    for mark, base in zip(marks, witnesses):
-        for s in M.elements():
-            q, img = Q.table[s][mark], ttbl[s][base]
-            if mapping[q] == -1:
-                mapping[q] = img
-            elif mapping[q] != img:
-                lhs, rhs = _equations(
-                    ttbl, e[1:-1], witnesses[1:-1], ttbl[e[0]][witnesses[0]],
-                    ttbl[e[-1]][witnesses[-1]],
-                )
-                raise WitnessesInvalidError(
-                    next(i for i, (l, r) in enumerate(zip(lhs, rhs), 1) if l != r)
-                )
-    return ActMorphism(Q, target, tuple(mapping))
+    Q, _, reps = _standard_parts(M, e)
+    for i in range(m):
+        if ttbl[e[2 * i]][witnesses[i]] != ttbl[e[2 * i + 1]][witnesses[i + 1]]:
+            raise WitnessesInvalidError(i + 1)
+    return ActMorphism(Q, target, tuple(ttbl[u][witnesses[i]] for i, u in reps))
 
 
 def format_tossing(t: Tossing) -> str:

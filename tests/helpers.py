@@ -3,13 +3,15 @@
 These deliberately avoid the library's own search strategies: generating
 sets are found by exhaustive subset search, tossing existence by full
 witness enumeration, congruence minimality by scanning every partition,
-isomorphism-canonical acts by trying every carrier relabelling, and
-principal, weak and bounded flatness by building the tensor products
-themselves.  Those tensor products merge A x B on its elementary pairs, and
-the standard quotients come from the free act through a worklist
-congruence closure, so no oracle shares the library's presented merge.
+isomorphism-canonical acts by trying every carrier relabelling, tossings
+by a fresh elementary-step graph and BFS per query, and principal, weak
+and bounded flatness by building the tensor products themselves.  Those
+tensor products merge A x B on its elementary pairs, and the standard
+quotients come from the free act through a worklist congruence closure,
+so no oracle shares the library's presented merge.
 """
 
+from collections import deque
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -24,7 +26,7 @@ from actalab.act import (
 from actalab.conditions import ConditionReport
 from actalab.errors import ValidationError
 from actalab.monoid import FiniteMonoid, PairSubact, RightIdeal, principal_right_ideal
-from actalab.tensor import Skeleton, TensorProduct, gamma_pairs
+from actalab.tensor import Skeleton, TensorProduct, Tossing, _edges, gamma_pairs
 
 
 def free_right_act(M: FiniteMonoid, k: int) -> Act:
@@ -210,6 +212,52 @@ def tossing_exists_brute(A, B, sk, a, b, a2, b2) -> bool:
             if B.table[sk.t(m)][b_wit[m - 1]] == b2:
                 return True
     return False
+
+
+def find_tossing_oracle(A, B, a, b, a2, b2):
+    """find_tossing as one search per query: a fresh elementary-step graph
+    and a BFS that stops when it dequeues (a2, b2), its path normalized
+    into the alternating scheme by identity steps.  None when the pairs
+    are not joined."""
+    nb, e = B.size, A.monoid.identity
+    src, dst = a * nb + b, a2 * nb + b2
+    path = []  # (kind, s, node reached)
+    if src != dst:
+        adj = _edges(A, B)
+        prev = {src: (-1, "", -1)}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if u == dst:
+                break
+            for v, kind, s in adj[u]:
+                if v not in prev:
+                    prev[v] = (u, kind, s)
+                    queue.append(v)
+        if dst not in prev:
+            return None
+        cur = dst
+        while cur != src:
+            p, kind, s = prev[cur]
+            path.append((kind, s, divmod(cur, nb)))
+            cur = p
+        path.reverse()
+    entries, nodes = [], [(a, b)]
+    for kind, s, node in path:
+        if (kind == "R") != (len(entries) % 2 == 0):
+            entries.append(e)
+            nodes.append(nodes[-1])
+        entries.append(s)
+        nodes.append(node)
+    while not entries or len(entries) % 2:
+        entries.append(e)
+        nodes.append(nodes[-1])
+    m = len(entries) // 2
+    return Tossing(
+        A, B, Skeleton(tuple(entries)), (a, b), nodes[-1],
+        tuple(nodes[2 * i][0] for i in range(1, m)),
+        tuple(nodes[2 * i + 1][1] for i in range(m)),
+    )
 
 
 def first_broken_delta(A, sk, chain):

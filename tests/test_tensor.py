@@ -14,10 +14,12 @@ from actalab.errors import (
 from actalab.tensor import (
     Skeleton,
     Tossing,
+    _tossing_index,
     gamma_pairs,
     standard_subact,
 )
 from helpers import (
+    find_tossing_oracle,
     first_broken_delta,
     free_right_act,
     least_witnesses_brute,
@@ -236,6 +238,37 @@ def test_oracle_equivalence_small(null2, natmin3):
                     assert al.validate_tossing(toss)
 
 
+def _round_robin(combos):
+    """(A, B, source) visits that cycle through combos, one source pair of
+    A x B per visit, until every source of every combo is visited."""
+    sources = [list(product(A.carrier(), B.carrier())) for A, B in combos]
+    for k in range(max(map(len, sources))):
+        for (A, B), srcs in zip(combos, sources):
+            if k < len(srcs):
+                yield A, B, srcs[k]
+
+
+def test_find_tossing_matches_oracle(z2, null2, natmin3):
+    """find_tossing, read off the cached BFS forests, returns the same
+    tossing as a fresh search per query, on every pair of pairs of every
+    right act and left act of size <= 3 over z2 and null2 and <= 2 over
+    natmin3.  The combos are visited round robin: the first 8 stay in the
+    cache and gain a forest per visit, the rest outnumber its bound, so
+    each visit evicts a combo and refills it."""
+    bound = _tossing_index.cache_info().maxsize
+    queries = 0
+    for M, k in ((z2, 3), (null2, 3), (natmin3, 2)):
+        combos = list(product(al.enumerate_acts(M, "right", k), al.enumerate_acts(M, "left", k)))
+        assert len(combos) - 8 > bound
+        for group in (combos[:8], combos[8:]):
+            for A, B, (a, b) in _round_robin(group):
+                for a2, b2 in product(A.carrier(), B.carrier()):
+                    expected = find_tossing_oracle(A, B, a, b, a2, b2)
+                    assert al.find_tossing(A, B, a, b, a2, b2) == expected, (M.name, a, b, a2, b2)
+                    queries += 1
+    assert queries == 2025 + 24649 + 841
+
+
 def test_skeleton_factorization_small(z2):
     """A skeleton connects two pairs iff delta and gamma both hold."""
     A = al.regular_act(z2, "right")
@@ -384,6 +417,23 @@ def test_induced_morphism_every_chain(z2, null2, natmin3):
     assert (valid, broken) == (7570, 9936)
 
 
+def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
+    """A skeleton entry -1 or |S| is not an element: the standard quotient
+    and the induced morphism refuse it instead of wrapping or indexing
+    past the table."""
+    for M in (z2, null2, natmin3):
+        S = al.regular_act(M, "right")
+        for m in (1, 2):
+            for i, bad in product(range(2 * m), (-1, M.size)):
+                sk = Skeleton((0,) * i + (bad,) + (0,) * (2 * m - 1 - i))
+                with pytest.raises(ElementNotFoundError):
+                    al.standard_tossing_act(M, sk)
+                with pytest.raises(ElementNotFoundError):
+                    al.induced_morphism(M, sk, S, (0,) * (m + 1))
+    with pytest.raises(ElementNotFoundError):
+        al.induced_morphism(z2, Skeleton((-1, 0)), al.regular_act(z2, "right"), (0, 1))
+
+
 def test_format_tossing_mentions_labels(z2):
     S = al.regular_act(z2, "right")
     B = al.regular_act(z2, "left")
@@ -393,12 +443,16 @@ def test_format_tossing_mentions_labels(z2):
 
 
 def test_find_tossing_bounds_checked(z2):
-    from actalab.errors import ElementNotFoundError
-
+    """Sides and indices are checked on every query, also on an (A, B)
+    whose graph and forests are already cached."""
     S = al.regular_act(z2, "right")
     B = al.regular_act(z2, "left")
-    with pytest.raises(ElementNotFoundError):
-        al.find_tossing(S, B, 5, 0, 0, 0)
+    assert al.find_tossing(S, B, 1, 0, 0, 1) is not None
+    for a, b, a2, b2 in ((5, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, -1)):
+        with pytest.raises(ElementNotFoundError):
+            al.find_tossing(S, B, a, b, a2, b2)
+    with pytest.raises(SideMismatchError):
+        al.find_tossing(B, S, 0, 0, 0, 0)
 
 
 def test_skeleton_factorization_length3(z2):
