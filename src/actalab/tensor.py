@@ -451,7 +451,8 @@ def induced_morphism(
     for i in range(m):
         if ttbl[e[2 * i]][witnesses[i]] != ttbl[e[2 * i + 1]][witnesses[i + 1]]:
             raise WitnessesInvalidError(i + 1)
-    return ActMorphism(Q, target, tuple(ttbl[u][witnesses[i]] for i, u in reps))
+    # tuple() of a list is sized exactly; of a generator it may keep a larger block
+    return ActMorphism(Q, target, tuple([ttbl[u][witnesses[i]] for i, u in reps]))
 
 
 def format_tossing(t: Tossing) -> str:
