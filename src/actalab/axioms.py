@@ -23,9 +23,9 @@ from itertools import product, repeat
 from operator import itemgetter, ne
 
 from .act import Act, enumerate_acts
-from .conditions import INTERPOLATION_CLASSES, as_pairs, check_condition
+from .conditions import INTERPOLATION_CLASSES, _structures, as_pairs, check_condition
 from .errors import SideMismatchError, ValidationError
-from .monoid import FiniteMonoid, left_cancellable_elements, min_generating_set
+from .monoid import FiniteMonoid, left_cancellable_elements
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,10 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
     forall = tuple(dict.fromkeys(cls.trigger))
     sentences = list(act_axioms(M))
     provenance: dict[str, dict] = {}
-    for s, t in cls.params(M):
+    for (s, t), (gens, _) in _structures(cid, M).items():
         params = [names[t]] if cls.diagonal else [names[s], names[t]]
         name = f"{cid}[{','.join(params)}]"
         trigger = _eq(_t(x, s), _t(y, t))
-        gens = min_generating_set(cls.structure(M, s, t))
         if gens:
             sides = [
                 _t(v, p) if cls.scaled else _t(v) for v, p in zip(cls.trigger, (s, t))

@@ -28,6 +28,7 @@ from .monoid import (
     RightIdeal,
     ideal_intersection,
     left_cancellable_elements,
+    min_generating_set,
     r_set,
 )
 from .tensor import Skeleton, _presented_tensor, _relations, gamma_pairs, standard_subact
@@ -117,17 +118,17 @@ def as_pairs(items) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=64)
-def _structures(cid: str, M: FiniteMonoid) -> tuple:
-    """(s, t, every element of the structure as sorted pairs) per parameter
-    of a class.  Every act over M reads the same structures, so they are
-    kept for the most recent monoids."""
+def _structures(cid: str, M: FiniteMonoid) -> dict:
+    """The class table (s, t) -> (minimum generators, all elements as sorted
+    pairs), in parameter order, that deciders, schemas and replacement read
+    for every act over M; kept for the most recent monoids."""
     cls = INTERPOLATION_CLASSES[cid]
-    out = []
+    out = {}
     for s, t in cls.params(M):
         S = cls.structure(M, s, t)
         elements = S.pairs if isinstance(S, PairSubact) else S.members
-        out.append((s, t, as_pairs(sorted(elements))))
-    return tuple(out)
+        out[s, t] = (min_generating_set(S), as_pairs(sorted(elements)))
+    return out
 
 
 def _require_left(B: Act):
@@ -177,16 +178,17 @@ class _Checker:
         return ConditionReport("TF", "holds")
 
     def _interpolate(self, cid: str) -> ConditionReport:
-        """Every trigger instance must have its legs in the orbit of the
-        whole structure, never only of its generators: (b, b') = (u·c, v·c)
-        for some (u, v) in it and c in B, or s·b = u·c = t·b' when scaled.
+        """Every trigger instance must have its legs in the union of the
+        generators' orbits, which is the structure's orbit: (b, b') =
+        (u·c, v·c) for a generator (u, v) and c in B, or s·b = u·c = t·b'
+        when scaled.  Reported interpolants range over the whole structure.
         """
         cls = INTERPOLATION_CLASSES[cid]
         rows = self.B.table
         found = [] if self.want else None
-        for s, t, pairs in _structures(cid, self.M):
+        for (s, t), (gens, pairs) in _structures(cid, self.M).items():
             orbit = set()
-            for u, v in pairs:
+            for u, v in as_pairs(gens):
                 orbit.update(zip(rows[u], rows[v]))
             sb = rows[s]
             for b, b2 in cls.instances(self.B, s, t):

@@ -8,20 +8,20 @@ finite list computed out of the minimum generators of the class's structure
 (u, v), a member u of an ideal the trivial skeleton (u, u), and for the
 scaled class (W) the length-3 skeleton (1, s, u, u, t, 1).
 
-The verifier sweeps every trigger instance of an act and must find a
-replacement for each; a miss would contradict the defining property of the
-class and is reported as a violation.
+The verifier sweeps every trigger instance of an act and gives it the first
+skeleton of the list whose gamma chain joins it; a miss would contradict the
+defining property of the class and is reported as a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .act import Act, regular_act
-from .conditions import INTERPOLATION_CLASSES, as_pairs, check_condition
-from .errors import BadParamsError, SideMismatchError, ValidationError
-from .monoid import FiniteMonoid, min_generating_set
-from .tensor import Skeleton, Tossing, eval_delta, eval_gamma, validate_tossing
+from .act import Act
+from .conditions import INTERPOLATION_CLASSES, _structures, as_pairs, check_condition
+from .errors import BadParamsError, ElementNotFoundError, SideMismatchError, ValidationError
+from .monoid import FiniteMonoid
+from .tensor import Skeleton
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,18 @@ def replacement_skeletons(
     if cid not in INTERPOLATION_CLASSES:
         raise ValidationError(f"no replacement construction for class {class_id!r}")
     cls = INTERPOLATION_CLASSES[cid]
+    for x in (s, t):
+        if not (0 <= x < M.size):
+            raise ElementNotFoundError(str(x), "monoid")
     if cls.diagonal and s != t:
         raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    gens = min_generating_set(cls.structure(M, s, t))
+    gens = _structures(cid, M)[s, t][0]
     sks = tuple(
         Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v))
         for u, v in as_pairs(gens)
     )
-    trigger = Skeleton((e, s, t, e))
-    return ReplacementSet(cid, s, t, trigger, sks, tuple(gens))
+    return ReplacementSet(cid, s, t, Skeleton((e, s, t, e)), sks, gens)
 
 
 @dataclass
@@ -82,8 +84,8 @@ class ReplacementReport:
 
 
 def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementReport:
-    """Replace every trigger instance of B, reporting the skeleton used and a
-    validated tossing per instance.  Acts outside the class are inapplicable."""
+    """Replace every trigger instance of B, reporting the skeleton used per
+    instance.  Acts outside the class are inapplicable."""
     return verify_replacements(B, [(s, t)], class_id)[0]
 
 
@@ -102,33 +104,27 @@ def verify_replacements(B: Act, pairs, class_id: str) -> list[ReplacementReport]
             ReplacementReport(cid, M.label(r.s), M.label(r.t), "inapplicable", [])
             for r in rsets
         ]
-    S_right = regular_act(M, "right")
-    return [_replace_instances(B, S_right, rset) for rset in rsets]
+    return [_replace_instances(B, rset) for rset in rsets]
 
 
-def _replace_instances(B: Act, S_right: Act, rset: ReplacementSet) -> ReplacementReport:
-    """The replacement sweep of one parameter pair over an act in the class."""
+def _replace_instances(B: Act, rset: ReplacementSet) -> ReplacementReport:
+    """The replacement sweep of one parameter pair over an act in the class.
+    A skeleton's gamma chain joins (a, b) exactly when the legs lie in its
+    generator's orbit: (a, b) = (u·c, v·c), or s·a = u·c = t·b when scaled."""
     M = B.monoid
     s, t, cid = rset.s, rset.t, rset.class_id
     cls = INTERPOLATION_CLASSES[cid]
     sl, tl = M.label(s), M.label(t)
-    # the A-side chain of each replacement skeleton connects s to t inside S
-    delta_wits = {}
-    for sk in rset.skeletons:
-        ok, wits = eval_delta(S_right, sk, s, t)
-        assert ok, "replacement skeleton lost its defining membership"
-        delta_wits[sk] = wits
+    rows = B.table
+    orbits = [set(zip(rows[u], rows[v])) for u, v in as_pairs(rset.generators)]
+    sa = rows[s]
     instances = []
     for a, b in cls.instances(B, s, t):
-        for sk in rset.skeletons:
-            gok, gwits = eval_gamma(B, sk, a, b)
-            if gok:
-                break
-        else:
+        legs = (sa[a], sa[a]) if cls.scaled else (a, b)
+        sk = next((sk for sk, o in zip(rset.skeletons, orbits) if legs in o), None)
+        if sk is None:
             failure = {"a": B.label(a), "b": B.label(b)}
             return ReplacementReport(cid, sl, tl, "violation", instances, failure)
-        toss = Tossing(S_right, B, sk, (s, a), (t, b), delta_wits[sk], gwits)
-        assert validate_tossing(toss), "replacement tossing failed its equations"
         instances.append(
             {
                 "a": B.label(a),

@@ -222,6 +222,8 @@ def load_json(path: str | Path) -> dict:
             raise ValidationError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
 def dump_json(data: dict, path: str | Path | None = None) -> str:

@@ -379,6 +379,9 @@ def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
     """Merge-find parents of the standard quotient Q on positions i*|S| + u,
     each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is m+1 copies of S merged
     along the relations x_i*s_(i+1) = x_(i+1)*t_(i+1)."""
+    for s in entries:
+        if not (0 <= s < M.size):
+            raise ElementNotFoundError(str(s), "monoid")
     m = Skeleton(entries).length
     relations = [(i, entries[2 * i], i + 1, entries[2 * i + 1]) for i in range(m)]
     return _presented_tensor(M.mul, m + 1, relations)
@@ -388,9 +391,6 @@ def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
 def _standard_parts(M: FiniteMonoid, entries: tuple[int, ...]):
     """(Q, marks, reps), Q's classes numbered by their first position
     (i, u), listed in reps, and named after it."""
-    for s in entries:
-        if not (0 <= s < M.size):
-            raise ElementNotFoundError(str(s), "monoid")
     block_of, firsts = _number_classes(_standard_merge(M, entries))
     n = M.size
     reps = tuple(divmod(pos, n) for pos in firsts)

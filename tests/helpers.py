@@ -26,7 +26,16 @@ from actalab.act import (
 from actalab.conditions import ConditionReport
 from actalab.errors import ValidationError
 from actalab.monoid import FiniteMonoid, PairSubact, RightIdeal, principal_right_ideal
-from actalab.tensor import Skeleton, TensorProduct, Tossing, _edges, gamma_pairs
+from actalab.tensor import (
+    Skeleton,
+    TensorProduct,
+    Tossing,
+    _edges,
+    eval_delta,
+    eval_gamma,
+    gamma_pairs,
+    validate_tossing,
+)
 
 
 def free_right_act(M: FiniteMonoid, k: int) -> Act:
@@ -512,6 +521,30 @@ def replacement_shape_ok(rset) -> bool:
             if not good:
                 return False
     return True
+
+
+def check_replaced_instances(B: Act, rset, report) -> int:
+    """Rebuild the tossing of every instance in a replacement report and
+    re-check it.
+
+    Each instance (a, b) must carry the first skeleton of `rset` whose
+    gamma chain joins a to b in B.  Its tossing from (s, a) to (t, b) over
+    the right regular act takes the delta witnesses of that skeleton from
+    s to t and the gamma witnesses from a to b, and must hold every
+    equation.  Returns the number of instances checked.
+    """
+    M = B.monoid
+    S = regular_act(M, "right")
+    names = B.carrier_names
+    for inst in report.instances:
+        a, b = names.index(inst["a"]), names.index(inst["b"])
+        sk = next(sk for sk in rset.skeletons if eval_gamma(B, sk, a, b)[0])
+        assert inst["skeleton"] == list(sk.labels(M)), (inst, sk)
+        dok, dwits = eval_delta(S, sk, rset.s, rset.t)
+        _, gwits = eval_gamma(B, sk, a, b)
+        toss = Tossing(S, B, sk, (rset.s, a), (rset.t, b), dwits, gwits)
+        assert dok and validate_tossing(toss), (inst, sk)
+    return len(report.instances)
 
 
 def canonical_table(table, k):

@@ -18,6 +18,7 @@ from actalab.tensor import Skeleton, gamma_pairs, standard_tossing_act
 from helpers import (
     _c_flat,
     brute_min_generators,
+    check_replaced_instances,
     semilattice_claimed_R,
     tossing_endpoint_table,
 )
@@ -256,7 +257,8 @@ def test_criterion_10_min_chain_identities():
 @criterion(11, "replacement sets")
 def test_criterion_11_replacement_sets(zoo_monoids):
     """Every trigger instance of every in-class act of size <= 3 is
-    replaced by a validated tossing over a skeleton from the finite set."""
+    replaced over a skeleton from the finite set, the first whose gamma
+    chain holds, by a tossing that the test rebuilds and validates."""
     replaced = 0
     for M in zoo_monoids:
         acts = list(al.enumerate_acts(M, "left", 3))
@@ -267,19 +269,16 @@ def test_criterion_11_replacement_sets(zoo_monoids):
                     B, ("P", "E", "EP", "W", "PWP")
                 ).items()
             }
-            for cls in ("P", "E", "EP", "W"):
+            for cls in ("P", "E", "EP", "W", "PWP"):
                 if not prof[cls]:
                     continue
-                for s in M.elements():
-                    for t in M.elements():
-                        report = al.verify_replacement(B, s, t, cls)
-                        assert report.ok, (M.name, cls, report.failure)
-                        replaced += len(report.instances)
-            if prof["PWP"]:
-                for t in M.elements():
-                    report = al.verify_replacement(B, t, t, "PWP")
-                    assert report.ok, (M.name, "PWP", report.failure)
-                    replaced += len(report.instances)
+                for s, t in product(M.elements(), repeat=2):
+                    if cls == "PWP" and s != t:
+                        continue
+                    report = al.verify_replacement(B, s, t, cls)
+                    assert report.ok, (M.name, cls, report.failure)
+                    rset = al.replacement_skeletons(M, s, t, cls)
+                    replaced += check_replaced_instances(B, rset, report)
     return f"{replaced} instances replaced"
 
 

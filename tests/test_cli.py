@@ -454,6 +454,11 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert run_command(["monoid", "validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    # UTF-16 with its byte-order mark is not UTF-8: a diagnostic, no traceback
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run_command(["monoid", "validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{bad}: not UTF-8" in captured.err
 
 
 def test_missing_file_exits_2(capsys):

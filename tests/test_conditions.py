@@ -98,8 +98,8 @@ def test_success_witnesses_are_real_interpolants(z2, natmin3):
         assert regular.holds and regular.details["instances"]
 
 
-def test_holds_verdicts_match_instance_oracle(zoo_monoids):
-    for M in zoo_monoids:
+def test_holds_verdicts_match_instance_oracle(zoo_monoids, left_zero):
+    for M in [*zoo_monoids, left_zero]:
         for B in al.enumerate_acts(M, "left", 3):
             for cond in ("P", "E", "EP", "W", "PWP"):
                 assert al.check_condition(B, cond).holds == condition_holds_brute(

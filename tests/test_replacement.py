@@ -1,8 +1,8 @@
 import pytest
 
 import actalab as al
-from actalab.errors import BadParamsError
-from helpers import replacement_shape_ok
+from actalab.errors import BadParamsError, ElementNotFoundError
+from helpers import check_replaced_instances, replacement_shape_ok
 
 
 def test_p_replacement_z2(z2):
@@ -102,4 +102,18 @@ def test_instances_carry_validated_tossings(natmin3):
     one, two = natmin3.index("1"), natmin3.index("2")
     report = al.verify_replacement(B, one, two, "P")
     assert report.ok and report.instances
-    assert all(inst["tossing_valid"] for inst in report.instances)
+    rset = al.replacement_skeletons(natmin3, one, two, "P")
+    assert check_replaced_instances(B, rset, report) == len(report.instances)
+
+
+def test_parameters_outside_monoid(natmin3):
+    """s or t equal to -1 or |S| is not an element: no wrapping to the last
+    element, no bare IndexError, no failed tossing."""
+    B = al.regular_act(natmin3, "left")
+    for bad in (-1, natmin3.size):
+        for s, t in ((bad, 1), (1, bad), (bad, bad)):
+            for cls in ("P", "E", "EP", "W", "PWP"):
+                with pytest.raises(ElementNotFoundError):
+                    al.replacement_skeletons(natmin3, s, t, cls)
+            with pytest.raises(ElementNotFoundError):
+                al.verify_replacement(B, s, t, "P")

@@ -418,9 +418,9 @@ def test_induced_morphism_every_chain(z2, null2, natmin3):
 
 
 def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
-    """A skeleton entry -1 or |S| is not an element: the standard quotient
-    and the induced morphism refuse it instead of wrapping or indexing
-    past the table."""
+    """A skeleton entry -1 or |S| is not an element: the standard quotient,
+    its [x]S ∪ [x']S table and the induced morphism refuse it instead of
+    wrapping or indexing past the table."""
     for M in (z2, null2, natmin3):
         S = al.regular_act(M, "right")
         for m in (1, 2):
@@ -428,6 +428,8 @@ def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
                 sk = Skeleton((0,) * i + (bad,) + (0,) * (2 * m - 1 - i))
                 with pytest.raises(ElementNotFoundError):
                     al.standard_tossing_act(M, sk)
+                with pytest.raises(ElementNotFoundError):
+                    standard_subact(M, sk.entries)
                 with pytest.raises(ElementNotFoundError):
                     al.induced_morphism(M, sk, S, (0,) * (m + 1))
     with pytest.raises(ElementNotFoundError):
