@@ -94,19 +94,15 @@ def _law_violation(M: FiniteMonoid, side: str, table) -> tuple | None:
         if table[e][a] != a:
             return ("identity", a)
     mul = M.mul
+    left = side == "left"
     for s in M.elements():
         for t in M.elements():
+            # the row applied last: s in s·(t·a), t in (a·s)·t
+            outer, inner = (table[s], table[t]) if left else (table[t], table[s])
             st_row = table[mul[s][t]]
-            if side == "left":
-                srow, trow = table[s], table[t]
-                for a in range(k):
-                    if srow[trow[a]] != st_row[a]:
-                        return ("compat", s, t, a)
-            else:
-                srow, trow = table[s], table[t]
-                for a in range(k):
-                    if trow[srow[a]] != st_row[a]:
-                        return ("compat", s, t, a)
+            for a in range(k):
+                if outer[inner[a]] != st_row[a]:
+                    return ("compat", s, t, a)
     return None
 
 
@@ -254,25 +250,25 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     def comp(f: int, g: int) -> int:
         return mul[f][g] if left else mul[g][f]
 
-    # triples (s,t) whose law becomes fully determined once `order[p]` lands;
-    # and, per position, the laws whose other rows are already fixed, which
-    # narrow each entry of the new row x before any candidate is tried:
+    # the laws f∘g = comp(f, g), as triples (f, g, comp(f, g)), that become
+    # fully determined once `order[p]` lands; and, per position, the laws
+    # whose other rows are already fixed, which narrow each entry of the new
+    # row x before any candidate is tried:
     #   forced   x = f∘g           x(a) = f(g(a))
     #   preimage f∘x = h           x(a) in f^-1(h(a))
     #   pinned   x∘g = h           x(g(a)) = h(a)
     #   fixing   f∘x = x           x(a) in Fix(f)
-    check_plan: list[list[tuple[int, int]]] = []
+    check_plan: list[list[tuple[int, int, int]]] = []
     forced, preimage, pinned, fixing = [], [], [], []
     assigned = {e}
     for x in order:
         now = assigned | {x}
-        todo = [
-            (s, t)
-            for s in now
-            for t in now
-            if mul[s][t] in now and x in (s, t, mul[s][t])
-        ]
-        check_plan.append(todo)
+        check_plan.append([
+            (f, g, h)
+            for f in now
+            for g in now
+            if (h := comp(f, g)) in now and x in (f, g, h)
+        ])
         fixed = sorted(assigned - {e})
         forced.append([(f, g) for f in fixed for g in fixed if comp(f, g) == x])
         preimage.append([(f, comp(f, x)) for f in fixed if comp(f, x) in assigned])
@@ -329,17 +325,12 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
                 allowed[a] &= fix
         return [points_in[m] for m in allowed]
 
-    def consistent(pairs):
-        for s, t in pairs:
-            srow, trow, strow = rows[s], rows[t], rows[mul[s][t]]
-            if left:
-                for a in range(k):
-                    if srow[trow[a]] != strow[a]:
-                        return False
-            else:
-                for a in range(k):
-                    if trow[srow[a]] != strow[a]:
-                        return False
+    def consistent(laws):
+        for f, g, h in laws:
+            F, G, H = rows[f], rows[g], rows[h]
+            for a in range(k):
+                if F[G[a]] != H[a]:
+                    return False
         return True
 
     # Orderly generation: a relabelling p maps row r to r^p with

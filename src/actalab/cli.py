@@ -196,10 +196,8 @@ def _cmd_check(args) -> int:
     elif cond == "flat":
         _guard_flat(M.size, B.size, args.flat_bound)
         report = check_flat_bounded(B, args.flat_bound)
-    elif cond.upper() in CONDITION_IDS:
-        report = check_condition(B, cond.upper(), want_witnesses=args.witnesses)
     else:
-        raise ActalabError(f"unknown condition {args.condition!r}")
+        report = check_condition(B, cond, want_witnesses=args.witnesses)
     text = f"{report.condition}: {report.verdict}"
     if report.witness:
         text += f"\n  witness: {report.witness}"
@@ -296,11 +294,8 @@ def _cmd_replace_verify(args) -> int:
     ]
     data = {"class": cid, "reports": [rep.to_dict() for rep in reports]}
     _emit(args, data, "\n".join(lines))
-    if any(rep.status == "violation" for rep in reports):
-        return 1
-    if all(rep.status == "inapplicable" for rep in reports):
-        return 2  # the act is outside the class: precondition failure
-    return 0
+    # every pair shares the class verdict: 2 when the act is outside the class
+    return 0 if reports[0].ok else 2
 
 
 def _cmd_zoo_build(args) -> int:

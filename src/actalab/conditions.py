@@ -6,7 +6,9 @@ flatness, and a bounded refutation procedure for flatness itself.
 PWF, WF and the flatness search build no tensor product: U ⊗ B is merged on
 copies of B by the presented merge-find of `tensor`, one copy per generator
 of U (one for PWF's aS, two for a skeleton's [x]S ∪ [x']S), and WF is PWF
-together with (W).
+together with (W).  Each interpolation class is decided from its entry in
+`INTERPOLATION_CLASSES`: every trigger instance, listed with its legs, must
+have the legs in the orbit of the structure's minimum generators.
 
 Every "fails" verdict carries a concrete counterexample that re-checks as a
 violation; interpolant reporting on success is opt-in to keep sweeps cheap.
@@ -82,13 +84,22 @@ class InterpolationClass:
             return [(t, t) for t in M.elements()]
         return [(s, t) for s in M.elements() for t in M.elements()]
 
-    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, int]]:
-        """Trigger instances (b, b') with s·b = t·b'; b' = b when y is x."""
+    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, int, tuple]]:
+        """Trigger instances (b, b', legs) with s·b = t·b', where b' = b when
+        y is x.  The legs are what an interpolant must reach: (b, b'), or
+        (s·b, s·b) for a scaled class."""
         srow, trow = B.table[s], B.table[t]
         carrier = B.carrier()
         if self.trigger[0] == self.trigger[-1]:
-            return [(b, b) for b in carrier if srow[b] == trow[b]]
-        return [(b, b2) for b in carrier for b2 in carrier if srow[b] == trow[b2]]
+            return [(b, b, (b, b)) for b in carrier if srow[b] == trow[b]]
+        if self.scaled:
+            return [
+                (b, b2, (v, v)) for b in carrier for b2 in carrier
+                if (v := srow[b]) == trow[b2]
+            ]
+        return [
+            (b, b2, (b, b2)) for b in carrier for b2 in carrier if srow[b] == trow[b2]
+        ]
 
 
 # The classes that the deciders, the sentence schemas and the replacement
@@ -136,110 +147,100 @@ def _require_left(B: Act):
         raise SideMismatchError("condition checks run on left acts")
 
 
-class _Checker:
-    """Shared state for the per-act condition procedures."""
+def _check_tf(B: Act) -> ConditionReport:
+    M = B.monoid
+    for s in left_cancellable_elements(M):
+        row = B.table[s]
+        seen: dict[int, int] = {}
+        for a in B.carrier():
+            v = row[a]
+            if v in seen:
+                w = {"s": M.label(s), "a": B.label(seen[v]), "b": B.label(a)}
+                return ConditionReport("TF", "fails", w)
+            seen[v] = a
+    return ConditionReport("TF", "holds")
 
-    def __init__(self, B: Act, want_witnesses: bool = False):
-        _require_left(B)
-        self.B = B
-        self.M = B.monoid
-        self.want = want_witnesses
 
-    def check(self, cond: str) -> ConditionReport:
-        cond = cond.upper()
-        if cond not in CONDITION_IDS:
-            raise UnknownConditionError(cond)
-        if cond == "SF":
-            p = self.check("P")
-            if not p.holds:
-                return ConditionReport("SF", "fails", p.witness)
-            e = self.check("E")
-            if not e.holds:
-                return ConditionReport("SF", "fails", e.witness)
-            details = None
-            if self.want:
-                details = {"P": p.details, "E": e.details}
-            return ConditionReport("SF", "holds", None, details)
-        if cond == "TF":
-            return self._check_tf()
-        return self._interpolate(cond)
+def _interpolate(B: Act, cid: str, want: bool) -> ConditionReport:
+    """Every trigger instance must have its legs in the union of the
+    generators' orbits, which is the structure's orbit: legs = (u·c, v·c)
+    for a generator (u, v) and c in B.  Reported interpolants range over
+    the whole structure."""
+    cls = INTERPOLATION_CLASSES[cid]
+    rows = B.table
+    found = [] if want else None
+    for (s, t), (gens, pairs) in _structures(cid, B.monoid).items():
+        orbit = set()
+        for u, v in as_pairs(gens):
+            orbit.update(zip(rows[u], rows[v]))
+        for b, b2, legs in cls.instances(B, s, t):
+            if legs not in orbit:
+                return ConditionReport(cid, "fails", _instance(B, cls, s, t, b, b2))
+            if found is not None:
+                hit = _interpolant(B, cls, pairs, legs)
+                found.append(_instance(B, cls, s, t, b, b2, hit))
+    details = {"instances": found} if found is not None else None
+    return ConditionReport(cid, "holds", None, details)
 
-    def _check_tf(self) -> ConditionReport:
-        B, M = self.B, self.M
-        for s in left_cancellable_elements(M):
-            row = B.table[s]
-            seen: dict[int, int] = {}
-            for a in B.carrier():
-                v = row[a]
-                if v in seen:
-                    w = {"s": M.label(s), "a": B.label(seen[v]), "b": B.label(a)}
-                    return ConditionReport("TF", "fails", w)
-                seen[v] = a
-        return ConditionReport("TF", "holds")
 
-    def _interpolate(self, cid: str) -> ConditionReport:
-        """Every trigger instance must have its legs in the union of the
-        generators' orbits, which is the structure's orbit: (b, b') =
-        (u·c, v·c) for a generator (u, v) and c in B, or s·b = u·c = t·b'
-        when scaled.  Reported interpolants range over the whole structure.
-        """
-        cls = INTERPOLATION_CLASSES[cid]
-        rows = self.B.table
-        found = [] if self.want else None
-        for (s, t), (gens, pairs) in _structures(cid, self.M).items():
-            orbit = set()
-            for u, v in as_pairs(gens):
-                orbit.update(zip(rows[u], rows[v]))
-            sb = rows[s]
-            for b, b2 in cls.instances(self.B, s, t):
-                legs = (sb[b], sb[b]) if cls.scaled else (b, b2)
-                if legs not in orbit:
-                    witness = self._instance(cls, s, t, b, b2)
-                    return ConditionReport(cid, "fails", witness)
-                if found is not None:
-                    hit = self._interpolant(cls, pairs, legs)
-                    found.append(self._instance(cls, s, t, b, b2, hit))
-        details = {"instances": found} if found is not None else None
-        return ConditionReport(cid, "holds", None, details)
+def _interpolant(B: Act, cls, pairs, legs) -> tuple[int, int, int]:
+    """The first (u, v, c) with (u·c, v·c) = legs: smallest c first, or
+    smallest u first for a scaled class, whose pairs are all (u, u)."""
+    rows = B.table
+    b, b2 = legs
+    if cls.scaled:
+        u = next(u for u, _ in pairs if b in rows[u])
+        return u, u, rows[u].index(b)
+    return next(
+        (u, v, c)
+        for c in B.carrier()
+        for u, v in pairs
+        if rows[u][c] == b and rows[v][c] == b2
+    )
 
-    def _interpolant(self, cls, pairs, legs) -> tuple[int, int, int]:
-        """The first (u, v, c) with (u·c, v·c) = legs: smallest c first, or
-        smallest u first for a scaled class, whose pairs are all (u, u)."""
-        rows = self.B.table
-        b, b2 = legs
-        if cls.scaled:
-            u = next(u for u, _ in pairs if b in rows[u])
-            return u, u, rows[u].index(b)
-        return next(
-            (u, v, c)
-            for c in self.B.carrier()
-            for u, v in pairs
-            if rows[u][c] == b and rows[v][c] == b2
-        )
 
-    def _instance(self, cls, s, t, b, b2, interpolant=None) -> dict:
-        """A trigger instance, with its interpolant when given, under the
-        class's report keys."""
-        mn, bn = self.M.element_names, self.B.carrier_names
-        param_keys, value_keys, interpolant_keys, through_key = cls.keys
-        out = dict(zip(param_keys, (mn[s], mn[t])))
-        out.update(zip(value_keys, (bn[b], bn[b2])))
-        if interpolant is not None:
-            u, v, c = interpolant
-            out.update(zip(interpolant_keys, (mn[u], mn[v])))
-            out[through_key] = bn[c]
-        return out
+def _instance(B: Act, cls, s, t, b, b2, interpolant=None) -> dict:
+    """A trigger instance, with its interpolant when given, under the
+    class's report keys."""
+    mn, bn = B.monoid.element_names, B.carrier_names
+    param_keys, value_keys, interpolant_keys, through_key = cls.keys
+    out = dict(zip(param_keys, (mn[s], mn[t])))
+    out.update(zip(value_keys, (bn[b], bn[b2])))
+    if interpolant is not None:
+        u, v, c = interpolant
+        out.update(zip(interpolant_keys, (mn[u], mn[v])))
+        out[through_key] = bn[c]
+    return out
+
+
+def _check(B: Act, cond: str, want: bool) -> ConditionReport:
+    """One condition of a left act: TF, SF as (P) and then (E), or a class."""
+    cond = cond.upper()
+    if cond == "TF":
+        return _check_tf(B)
+    if cond in INTERPOLATION_CLASSES:
+        return _interpolate(B, cond, want)
+    if cond != "SF":
+        raise UnknownConditionError(cond)
+    details = {}
+    for cid in ("P", "E"):
+        part = _interpolate(B, cid, want)
+        if not part.holds:
+            return ConditionReport("SF", "fails", part.witness)
+        details[cid] = part.details
+    return ConditionReport("SF", "holds", None, details if want else None)
 
 
 def check_condition(B: Act, cond: str, want_witnesses: bool = False) -> ConditionReport:
     """Exhaustive quantifier check of one condition over B's carrier and S."""
-    return _Checker(B, want_witnesses).check(cond)
+    _require_left(B)
+    return _check(B, cond, want_witnesses)
 
 
 def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]:
     """All requested condition verdicts of one act."""
-    chk = _Checker(B)
-    return {c: chk.check(c) for c in conds}
+    _require_left(B)
+    return {c: _check(B, c, False) for c in conds}
 
 
 def _pwf_witness(B: Act) -> dict | None:
@@ -291,12 +292,12 @@ def check_wf(B: Act) -> ConditionReport:
     A PWF failure at a is reported on the ideal aS; otherwise the first (W)
     failure s·b = t·b2 splits s ⊗ b from t ⊗ b2 in (sS ∪ tS) ⊗ B.
     """
-    chk = _Checker(B)
+    _require_left(B)
     w = _pwf_witness(B)
     if w is not None:
         gens, pair1, pair2 = [w["a"]], w["pair1"], w["pair2"]
     else:
-        w = chk.check("W").witness
+        w = _interpolate(B, "W", False).witness
         if w is None:
             return ConditionReport("WF", "holds")
         gens, pair1, pair2 = [w["s"], w["t"]], [w["s"], w["a"]], [w["t"], w["a2"]]

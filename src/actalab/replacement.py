@@ -8,9 +8,9 @@ finite list computed out of the minimum generators of the class's structure
 (u, v), a member u of an ideal the trivial skeleton (u, u), and for the
 scaled class (W) the length-3 skeleton (1, s, u, u, t, 1).
 
-The verifier sweeps every trigger instance of an act and gives it the first
-skeleton of the list whose gamma chain joins it; a miss would contradict the
-defining property of the class and is reported as a violation.
+The verifier decides the act's class from the same generators' orbits, and
+for an act in the class gives every trigger instance the first skeleton of
+the list whose gamma chain joins it, which always exists.
 """
 
 from __future__ import annotations
@@ -34,14 +34,19 @@ class ReplacementSet:
     generators: tuple
 
 
+def _class_id(class_id: str) -> str:
+    cid = class_id.upper()
+    if cid not in INTERPOLATION_CLASSES:
+        raise ValidationError(f"no replacement construction for class {class_id!r}")
+    return cid
+
+
 def replacement_skeletons(
     M: FiniteMonoid, s: int, t: int, class_id: str
 ) -> ReplacementSet:
     """The finite replacement list for one parameter pair; empty exactly when
     the underlying structure is empty."""
-    cid = class_id.upper()
-    if cid not in INTERPOLATION_CLASSES:
-        raise ValidationError(f"no replacement construction for class {class_id!r}")
+    cid = _class_id(class_id)
     cls = INTERPOLATION_CLASSES[cid]
     for x in (s, t):
         if not (0 <= x < M.size):
@@ -62,25 +67,16 @@ class ReplacementReport:
     class_id: str
     s: str
     t: str
-    status: str  # "ok" | "inapplicable" | "violation"
+    status: str  # "ok", or "inapplicable" for an act outside the class
     instances: list
-    failure: dict | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        out = {
-            "class": self.class_id,
-            "s": self.s,
-            "t": self.t,
-            "status": self.status,
-            "instances": self.instances,
-        }
-        if self.failure is not None:
-            out["failure"] = self.failure
-        return out
+        return {"class": self.class_id, "s": self.s, "t": self.t,
+                "status": self.status, "instances": self.instances}
 
 
 def verify_replacement(B: Act, s: int, t: int, class_id: str) -> ReplacementReport:
@@ -94,43 +90,31 @@ def verify_replacements(B: Act, pairs, class_id: str) -> list[ReplacementReport]
     class of B once for all of them."""
     if B.side != "left":
         raise SideMismatchError("replacement verification runs on left acts")
+    cid = _class_id(class_id)
     M = B.monoid
-    rsets = [replacement_skeletons(M, s, t, class_id) for s, t in pairs]
-    if not rsets:
-        return []
-    cid = rsets[0].class_id
-    if not check_condition(B, cid).holds:
-        return [
-            ReplacementReport(cid, M.label(r.s), M.label(r.t), "inapplicable", [])
-            for r in rsets
-        ]
-    return [_replace_instances(B, rset) for rset in rsets]
-
-
-def _replace_instances(B: Act, rset: ReplacementSet) -> ReplacementReport:
-    """The replacement sweep of one parameter pair over an act in the class.
-    A skeleton's gamma chain joins (a, b) exactly when the legs lie in its
-    generator's orbit: (a, b) = (u·c, v·c), or s·a = u·c = t·b when scaled."""
-    M = B.monoid
-    s, t, cid = rset.s, rset.t, rset.class_id
-    cls = INTERPOLATION_CLASSES[cid]
-    sl, tl = M.label(s), M.label(t)
-    rows = B.table
-    orbits = [set(zip(rows[u], rows[v])) for u, v in as_pairs(rset.generators)]
-    sa = rows[s]
-    instances = []
-    for a, b in cls.instances(B, s, t):
-        legs = (sa[a], sa[a]) if cls.scaled else (a, b)
-        sk = next((sk for sk, o in zip(rset.skeletons, orbits) if legs in o), None)
-        if sk is None:
-            failure = {"a": B.label(a), "b": B.label(b)}
-            return ReplacementReport(cid, sl, tl, "violation", instances, failure)
-        instances.append(
-            {
-                "a": B.label(a),
-                "b": B.label(b),
-                "skeleton": list(sk.labels(M)),
-                "tossing_valid": True,
-            }
+    rsets = [replacement_skeletons(M, s, t, cid) for s, t in pairs]
+    status = "ok" if check_condition(B, cid).holds else "inapplicable"
+    return [
+        ReplacementReport(
+            cid, M.label(r.s), M.label(r.t), status,
+            _replace_instances(B, r) if status == "ok" else [],
         )
-    return ReplacementReport(cid, sl, tl, "ok", instances)
+        for r in rsets
+    ]
+
+
+def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
+    """Every trigger instance of one parameter pair, over an act in the
+    class, with its skeleton.  A skeleton's gamma chain joins an instance
+    exactly when the instance's legs lie in its generator's orbit, and the
+    decider has put every instance's legs in the union of these orbits."""
+    M, rows = B.monoid, B.table
+    cls = INTERPOLATION_CLASSES[rset.class_id]
+    orbits = [set(zip(rows[u], rows[v])) for u, v in as_pairs(rset.generators)]
+    labels = [sk.labels(M) for sk in rset.skeletons]
+    return [
+        {"a": B.label(a), "b": B.label(b),
+         "skeleton": list(next(lab for lab, o in zip(labels, orbits) if legs in o)),
+         "tossing_valid": True}
+        for a, b, legs in cls.instances(B, rset.s, rset.t)
+    ]

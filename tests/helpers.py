@@ -403,6 +403,25 @@ def semilattice_claimed_R(M, n1, s, t):
     return generated_pair_subact(M, gens).pairs
 
 
+def satisfies_act_laws(M: FiniteMonoid, side: str, table) -> bool:
+    """The act laws read off their definition, on a raw table whose row s
+    holds s·a for a left act and a·s for a right act: 1·a = a, and
+    s·(t·a) = (st)·a on the left or (a·s)·t = a·(st) on the right."""
+    carrier = range(len(table[0]))
+    if any(table[M.identity][a] != a for a in carrier):
+        return False
+    for s in M.elements():
+        for t in M.elements():
+            for a in carrier:
+                if side == "left":
+                    lhs = table[s][table[t][a]]
+                else:
+                    lhs = table[t][table[s][a]]
+                if lhs != table[M.op(s, t)][a]:
+                    return False
+    return True
+
+
 def condition_violated(B, cond, witness) -> bool:
     """Re-check a failure witness by direct quantifier scan at the instance."""
     M = B.monoid

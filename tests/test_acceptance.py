@@ -276,7 +276,7 @@ def test_criterion_11_replacement_sets(zoo_monoids):
                     if cls == "PWP" and s != t:
                         continue
                     report = al.verify_replacement(B, s, t, cls)
-                    assert report.ok, (M.name, cls, report.failure)
+                    assert report.ok, (M.name, cls, report.status)
                     rset = al.replacement_skeletons(M, s, t, cls)
                     replaced += check_replaced_instances(B, rset, report)
     return f"{replaced} instances replaced"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import actalab as al
-from actalab.act import morphism_is_valid, _law_violation
+from actalab.act import morphism_is_valid
 from actalab.errors import (
     CompatibilityError,
     EmptyCarrierError,
@@ -16,6 +16,7 @@ from helpers import (
     free_right_act,
     is_act_congruence,
     quotient_act,
+    satisfies_act_laws,
     subact_generated,
 )
 
@@ -43,10 +44,17 @@ def test_identity_law_failure(z2):
         al.validate_act(z2, "left", ["p", "q"], [[0, 0], [0, 1]])
 
 
-def test_compatibility_failure(z2):
+def test_compatibility_failure(z2, left_zero):
     # g*(g*p) = p but (gg)*p = 1*p must equal p; force g row non-involutive
     with pytest.raises(CompatibilityError):
         al.validate_act(z2, "left", ["p", "q"], [[0, 1], [0, 0]])
+    # a sends everything to p and b to q: a left act, but on the right
+    # (p·a)·b = q while p·(ab) = p·a = p
+    table = [[0, 1], [0, 0], [1, 1]]
+    al.validate_act(left_zero, "left", ["p", "q"], table)
+    with pytest.raises(CompatibilityError) as err:
+        al.validate_act(left_zero, "right", ["p", "q"], table)
+    assert err.value.instance == ("a", "b", "p")
 
 
 def test_empty_carrier(z2):
@@ -176,7 +184,7 @@ def test_enumerate_all_valid(zoo_monoids):
     for M in zoo_monoids:
         for side in ("left", "right"):
             for act in al.enumerate_acts(M, side, 3):
-                assert _law_violation(M, side, act.table) is None
+                assert satisfies_act_laws(M, side, act.table)
 
 
 def test_enumerate_distinct_prunes_isomorphs(z2, null2):
@@ -185,7 +193,7 @@ def test_enumerate_distinct_prunes_isomorphs(z2, null2):
         distinct = list(al.enumerate_acts(M, "left", 3, distinct=True))
         assert 0 < len(distinct) < raw
         for act in distinct:
-            assert _law_violation(M, "left", act.table) is None
+            assert satisfies_act_laws(M, "left", act.table)
 
 
 @given(st.data())
@@ -295,7 +303,7 @@ def test_enumeration_matches_naive_filter(z2, null2, natmin3, left_zero):
                 table = [tuple(range(k))] * M.size
                 for slot, row in zip(free, combo):
                     table[slot] = row
-                if _law_violation(M, side, tuple(table)) is None:
+                if satisfies_act_laws(M, side, table):
                     naive.append(tuple(table))
             mine = [a.table for a in al.enumerate_acts(M, side, k) if a.size == k]
             assert mine == naive

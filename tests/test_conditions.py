@@ -120,11 +120,29 @@ def test_unknown_condition(z2):
         al.check_condition(al.regular_act(z2, "left"), "XYZ")
 
 
-def test_right_side_act_rejected(z2):
+def test_right_side_act_rejected(z2, natmin3):
+    """Every public decider refuses a right act, whatever its verdict on
+    the table read as a left act would be."""
     from actalab.errors import SideMismatchError
+    from actalab.replacement import verify_replacements
 
-    with pytest.raises(SideMismatchError):
-        al.check_condition(al.regular_act(z2, "right"), "P")
+    for M in (z2, natmin3):
+        B = al.regular_act(M, "right")
+        e = M.identity
+        calls = [
+            lambda: al.check_condition(B, "TF"),
+            lambda: al.check_condition(B, "P"),
+            lambda: al.check_condition(B, "SF"),
+            lambda: al.condition_profile(B),
+            lambda: al.check_pwf(B),
+            lambda: al.check_wf(B),
+            lambda: al.check_flat_bounded(B),
+            lambda: al.verify_replacement(B, e, e, "P"),
+            lambda: verify_replacements(B, [(e, e)], "W"),
+        ]
+        for call in calls:
+            with pytest.raises(SideMismatchError):
+                call()
 
 
 def test_pwf_and_wf_on_regular_act(zoo_monoids):

@@ -1,7 +1,8 @@
 import pytest
 
 import actalab as al
-from actalab.errors import BadParamsError, ElementNotFoundError
+from actalab.errors import BadParamsError, ElementNotFoundError, ValidationError
+from actalab.replacement import verify_replacements
 from helpers import check_replaced_instances, replacement_shape_ok
 
 
@@ -66,7 +67,7 @@ def test_verify_w_on_regular_act(zoo_monoids):
                 if not al.ideal_intersection(M, s, t).members:
                     continue
                 report = al.verify_replacement(B, s, t, "W")
-                assert report.ok, (M.name, s, t, report.failure)
+                assert report.ok, (M.name, s, t, report.status)
 
 
 def test_verify_p_trivial_monoid(trivial):
@@ -108,7 +109,8 @@ def test_instances_carry_validated_tossings(natmin3):
 
 def test_parameters_outside_monoid(natmin3):
     """s or t equal to -1 or |S| is not an element: no wrapping to the last
-    element, no bare IndexError, no failed tossing."""
+    element, no bare IndexError, no failed tossing.  An unknown class is
+    refused too."""
     B = al.regular_act(natmin3, "left")
     for bad in (-1, natmin3.size):
         for s, t in ((bad, 1), (1, bad), (bad, bad)):
@@ -117,3 +119,6 @@ def test_parameters_outside_monoid(natmin3):
                     al.replacement_skeletons(natmin3, s, t, cls)
             with pytest.raises(ElementNotFoundError):
                 al.verify_replacement(B, s, t, "P")
+    # the class is resolved before the pairs, so an empty list still checks it
+    with pytest.raises(ValidationError):
+        verify_replacements(B, [], "XX")
