@@ -278,13 +278,12 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
 
     # Per-size row lists: the one law on x and the identity alone is x·x = 1
     # or x·x = x, so x's row is an involution or idempotent.  Rows under the
-    # same law share one trie, and no list of all k^k rows is kept.
+    # same law share one trie; a row under neither reads its domains directly.
     square_law = {
         "involution": lambda r: all(r[v] == a for a, v in enumerate(r)),
         "idempotent": lambda r: all(r[v] == v for v in r),
-        None: lambda r: True,
     }
-    by_law: dict = {}
+    by_law: dict = {None: None}  # no trie for rows under no law
     tries = {}
     for x in order:
         sq = mul[x][x]
@@ -345,7 +344,8 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
             return
         x = order[pos]
         plan = check_plan[pos]
-        for cand in _rows_within(tries[x], domains(pos)):
+        trie, allowed = tries[x], domains(pos)
+        for cand in product(*allowed) if trie is None else _rows_within(trie, allowed):
             rows[x] = cand
             if not consistent(plan):
                 continue

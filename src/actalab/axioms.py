@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product, repeat
 from operator import itemgetter, ne
+from typing import Iterator
 
 from .act import Act, enumerate_acts
 from .conditions import INTERPOLATION_CLASSES, _structures, as_pairs, check_condition
@@ -232,117 +233,103 @@ class _RowVectors(dict):
         return vec
 
 
+def _values(vecs: _RowVectors, terms, assignments: list) -> Iterator[tuple]:
+    """The tuple of the terms' values at each assignment."""
+    cols = [map(vecs[w].__getitem__, map(itemgetter(i), assignments)) for i, w in terms]
+    return zip(*cols) if cols else repeat((), len(assignments))
+
+
+def _satisfying(vecs: _RowVectors, equations, assignments: list) -> list:
+    """The assignments at which every equation holds, in their order."""
+    for (i, wl), (j, wr) in equations:
+        L, R = vecs[wl], vecs[wr]
+        assignments = [a for a in assignments if L[a[i]] == R[a[j]]]
+    return assignments
+
+
 class _Plan:
     """A sentence compiled for evaluation on any table.
 
-    A term becomes (position of its variable, word): the forall variables
-    take positions 0..n-1 in quantifier order, the exists variables the
-    positions after them.
-    A consequent disjunct whose every equation pairs a forall-side term with
-    an exists-side term is grouped with the disjuncts of the same
-    forall-side terms; on a table a group is the set of tuples its
-    exists-side terms reach, and one lookup decides a trigger assignment.
-    Other disjuncts are tried over every exists assignment.
+    An equation is the implication from nothing to it, and an inequation the
+    implication from it to nothing.  A term becomes (position, word): the
+    forall variables take positions 0..n-1 of a trigger assignment in
+    quantifier order, the exists variables positions 0..m-1 of an exists
+    assignment.  Each equation of a consequent disjunct is a test on the
+    trigger (forall against forall), a key term with the exists-side term
+    it must meet (forall against exists), or a filter on the exists
+    assignments (exists against exists).  Disjuncts with the same tests and
+    key terms form a group.  On a table a group's reach is the set of
+    tuples its exists-side terms take at the exists assignments that pass
+    their filter, and a trigger satisfies the group when it meets the tests
+    and its key tuple is in the reach.
     """
 
     def __init__(self, sentence: Sentence):
         names = sentence.forall + sentence.exists
         if len(set(names)) != len(names):
             raise ValidationError(f"sentence {sentence.name!r} binds a variable twice")
-        self.n = n = len(sentence.forall)
-        self.m = len(sentence.exists)
-        self.kind = sentence.kind
-        pos = {v: i for i, v in enumerate(names)}
+        self.n = len(sentence.forall)
+        ante, exists, cons = sentence.antecedent, sentence.exists, sentence.consequent
+        negated = sentence.kind == "inequation"
+        if sentence.kind != "implication":
+            body = sentence.equation
+            ante, exists, cons = ((body,), (), ()) if negated else ((), (), ((body,),))
+        self.m = len(exists)
+        forall_pos = {v: i for i, v in enumerate(sentence.forall)}
 
-        def term(t: Term, bound: int) -> tuple[int, tuple[int, ...]]:
-            if pos.get(t.var, bound) >= bound:
+        def term(t: Term, scope: dict) -> tuple[int, tuple[int, ...]]:
+            if t.var not in scope:
                 raise ValidationError(
                     f"sentence {sentence.name!r} uses the unbound variable {t.var!r}"
                 )
-            return (pos[t.var], t.word)
+            return (scope[t.var], t.word)
 
-        def equation(eq: Equation, bound: int = n):
-            return (term(eq.lhs, bound), term(eq.rhs, bound))
+        def equation(e: Equation):
+            return (term(e.lhs, forall_pos), term(e.rhs, forall_pos))
 
-        if sentence.kind in ("equation", "inequation"):
-            self.equation = equation(sentence.equation)
-            return
-        self.antecedent = tuple(map(equation, sentence.antecedent))
-        groups: dict[tuple, list] = {}
-        self.others = []
-        for conj in sentence.consequent:
-            eqs = [equation(eq, len(names)) for eq in conj]
-            paired = [(a, b) if a[0] < n else (b, a) for a, b in eqs]
-            if all(f[0] < n <= e[0] for f, e in paired):
-                key = tuple(f for f, _ in paired)
-                groups.setdefault(key, []).append(tuple(e for _, e in paired))
-            else:
-                self.others.append(eqs)
-        self.groups = tuple(groups.items())
+        self.antecedent = tuple(map(equation, ante))
+        # an equation or inequation is first tried on whole row vectors
+        self.whole = None if sentence.kind == "implication" else (negated, equation(body))
+        exists_pos = {v: i for i, v in enumerate(exists)}
+        self.groups: dict[tuple, list] = {}
+        for conj in cons:
+            tests, key, eterms, filt = [], [], [], []
+            for e in conj:
+                f = [term(t, forall_pos) for t in (e.lhs, e.rhs) if t.var in forall_pos]
+                z = [term(t, exists_pos) for t in (e.lhs, e.rhs) if t.var not in forall_pos]
+                if f and z:
+                    key += f
+                    eterms += z
+                else:
+                    (filt if z else tests).append(tuple(f or z))
+            self.groups.setdefault((tuple(tests), tuple(key)), []).append((filt, eterms))
+
+    def _holds_everywhere(self, vecs: _RowVectors) -> bool:
+        negated, ((i, wl), (j, wr)) = self.whole
+        L, R = vecs[wl], vecs[wr]
+        if negated:
+            return all(map(ne, L, R)) if i == j else set(L).isdisjoint(R)
+        return L == R if i == j else len(set(L).union(R)) <= 1
 
     def first_failure(self, vecs: _RowVectors) -> tuple[int, ...] | None:
         """The first forall assignment, in product order, at which the
         sentence fails on the table of `vecs`; None when it holds."""
+        if self.whole is not None and self._holds_everywhere(vecs):
+            return None
         k = vecs.k
-        if self.kind not in ("equation", "inequation"):
-            return self._first_implication_failure(vecs, k)
-        (i, wl), (j, wr) = self.equation
-        L, R = vecs[wl], vecs[wr]
-        negated = self.kind == "inequation"
-        if negated:
-            holds = all(map(ne, L, R)) if i == j else set(L).isdisjoint(R)
-        else:
-            holds = L == R if i == j else len(set(L).union(R)) <= 1
-        if holds:
+        pending = _satisfying(vecs, self.antecedent, list(product(range(k), repeat=self.n)))
+        if not pending:
             return None
-        return next(
-            a for a in product(range(k), repeat=self.n)
-            if (L[a[i]] == R[a[j]]) is negated
-        )
-
-    def _triggers(self, vecs: _RowVectors, k: int) -> list[tuple[int, ...]]:
-        """The forall assignments that satisfy the antecedent, in product order."""
-        triggers = list(product(range(k), repeat=self.n))
-        for (i, wl), (j, wr) in self.antecedent:
-            L, R = vecs[wl], vecs[wr]
-            triggers = [a for a in triggers if L[a[i]] == R[a[j]]]
-        return triggers
-
-    def _reach(self, vecs: _RowVectors, k: int, disjuncts) -> set[tuple[int, ...]]:
-        """The tuples of exists-side values that some exists assignment gives
-        one of the grouped disjuncts."""
-        n, out = self.n, set()
         zss = list(product(range(k), repeat=self.m))
-        for eterms in disjuncts:
-            cols = [map(vecs[w].__getitem__, map(itemgetter(q - n), zss)) for q, w in eterms]
-            out.update(zip(*cols) if cols else repeat((), len(zss)))
-        return out
-
-    def _first_implication_failure(self, vecs, k):
-        triggers = self._triggers(vecs, k)
-        if not triggers:
-            return None
-        groups = (
-            ([(p, vecs[w]) for p, w in key], self._reach(vecs, k, disjuncts))
-            for key, disjuncts in self.groups
-        )
-        others = [
-            [(p, vecs[wp], q, vecs[wq]) for (p, wp), (q, wq) in eqs]
-            for eqs in self.others
-        ]
-        pending = triggers
-        for key, reach in groups:
-            cols = [map(vec.__getitem__, map(itemgetter(p), pending)) for p, vec in key]
-            keys = zip(*cols) if cols else repeat(())
-            pending = [a for a, values in zip(pending, keys) if values not in reach]
-        for a in pending:
-            if not any(
-                all(L[env[p]] == R[env[q]] for p, L, q, R in conj)
-                for env in (a + zs for zs in product(range(k), repeat=self.m))
-                for conj in others
-            ):
-                return a
-        return None
+        for (tests, key), disjuncts in self.groups.items():
+            reach = set()
+            for filt, eterms in disjuncts:
+                reach.update(_values(vecs, eterms, _satisfying(vecs, filt, zss)))
+            met = _satisfying(vecs, tests, pending)
+            missed = [a for a, values in zip(met, _values(vecs, key, met)) if values not in reach]
+            # the triggers that fail the tests stay pending too, in product order
+            pending = sorted({*pending}.difference(met).union(missed)) if tests else missed
+        return pending[0] if pending else None
 
 
 def check_table(table, sentence: Sentence) -> tuple[bool, dict | None]:
@@ -354,10 +341,14 @@ def check_table(table, sentence: Sentence) -> tuple[bool, dict | None]:
     return (False, dict(zip(sentence.forall, a)))
 
 
-def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
-    """Satisfaction, with the first failing assignment as counterexample."""
+def _require_left(B: Act):
     if B.side != "left":
         raise SideMismatchError("sentences of the left-act language need a left act")
+
+
+def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
+    """Satisfaction, with the first failing assignment as counterexample."""
+    _require_left(B)
     ok, env = check_table(B.table, sentence)
     if env is not None:
         env = {v: B.label(i) for v, i in env.items()}
@@ -365,6 +356,7 @@ def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
 
 
 def satisfies_all(B: Act, sentences) -> bool:
+    _require_left(B)
     vecs = _RowVectors(B.table)
     return all(s._plan.first_failure(vecs) is None for s in sentences)
 
@@ -424,22 +416,19 @@ def term_to_text(M: FiniteMonoid, term: Term) -> str:
 def sentence_to_text(M: FiniteMonoid, sentence: Sentence) -> str:
     """Render in conventional notation, e.g.
     (∀x)(∀y)(s·x = t·y → (∃z)(s·x = u·z ∧ t·y = u·z))."""
+    def conjunction(eqs, rel: str = "=") -> str:
+        return " ∧ ".join(
+            f"{term_to_text(M, e.lhs)} {rel} {term_to_text(M, e.rhs)}" for e in eqs
+        )
+
     prefix = "".join(f"(∀{v})" for v in sentence.forall)
-    if sentence.kind == "equation":
-        eq = sentence.equation
-        return f"{prefix}({term_to_text(M, eq.lhs)} = {term_to_text(M, eq.rhs)})"
-    if sentence.kind == "inequation":
-        eq = sentence.equation
-        return f"{prefix}({term_to_text(M, eq.lhs)} ≠ {term_to_text(M, eq.rhs)})"
-    ante = " ∧ ".join(
-        f"{term_to_text(M, eq.lhs)} = {term_to_text(M, eq.rhs)}"
-        for eq in sentence.antecedent
-    )
+    if sentence.kind != "implication":
+        rel = "≠" if sentence.kind == "inequation" else "="
+        return f"{prefix}({conjunction((sentence.equation,), rel)})"
+    ante = conjunction(sentence.antecedent)
     disjuncts = []
     for conj in sentence.consequent:
-        body = " ∧ ".join(
-            f"{term_to_text(M, eq.lhs)} = {term_to_text(M, eq.rhs)}" for eq in conj
-        )
+        body = conjunction(conj)
         disjuncts.append(f"({body})" if len(conj) > 1 else body)
     cons = " ∨ ".join(disjuncts)
     ex = "".join(f"(∃{v})" for v in sentence.exists)

@@ -115,6 +115,13 @@ def _pair_index(A: Act, B: Act, a: int, b: int) -> int:
     return a * B.size + b
 
 
+def _check_indices(values, size: int, where: str):
+    """Raise ElementNotFoundError for the first value outside range(size)."""
+    for v in values:
+        if not (0 <= v < size):
+            raise ElementNotFoundError(str(v), where)
+
+
 def _check_sides(A: Act, B: Act):
     if A.side != "right":
         raise SideMismatchError("first tensor factor must be a right act")
@@ -350,10 +357,13 @@ def eval_delta(
     have witnesses x2..xn with x = a, x' = a2?
 
     Solved as the zigzag of steps (t_i, s_{i+1}) from a*s1 to a2*tn.
+    Raises ElementNotFoundError for an entry or point outside M or A.
     """
     if A.side != "right":
         raise SideMismatchError("delta formulas evaluate in a right act")
     tbl, e = A.table, sk.entries
+    _check_indices(e, len(tbl), "monoid")
+    _check_indices((a, a2), A.size, "right act carrier")
     return _solve(tbl, e[1:-1], tbl[e[0]][a], tbl[e[-1]][a2])
 
 
@@ -362,9 +372,12 @@ def eval_gamma(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Left-act side of the skeleton: witnesses x1..xn for
     x = s1*x1, t1*x1 = s2*x2, ..., tn*xn = x' with x = b, x' = b2,
-    solved as the zigzag of steps (s_i, t_i) from b to b2."""
+    solved as the zigzag of steps (s_i, t_i) from b to b2.  Raises
+    ElementNotFoundError for an entry or point outside M or B."""
     if B.side != "left":
         raise SideMismatchError("gamma formulas evaluate in a left act")
+    _check_indices(sk.entries, len(B.table), "monoid")
+    _check_indices((b, b2), B.size, "left act carrier")
     return _solve(B.table, sk.entries, b, b2)
 
 
@@ -372,6 +385,7 @@ def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     """All (b, b2) with a gamma witness chain, in one walk per source b;
     a b outside the image of s1 has no first witness."""
     tbl, e = B.table, sk.entries
+    _check_indices(e, len(tbl), "monoid")  # one row per monoid element
     return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])
 
 
@@ -379,9 +393,7 @@ def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
     """Merge-find parents of the standard quotient Q on positions i*|S| + u,
     each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is m+1 copies of S merged
     along the relations x_i*s_(i+1) = x_(i+1)*t_(i+1)."""
-    for s in entries:
-        if not (0 <= s < M.size):
-            raise ElementNotFoundError(str(s), "monoid")
+    _check_indices(entries, M.size, "monoid")
     m = Skeleton(entries).length
     relations = [(i, entries[2 * i], i + 1, entries[2 * i + 1]) for i in range(m)]
     return _presented_tensor(M.mul, m + 1, relations)
@@ -440,12 +452,10 @@ def induced_morphism(
         raise SideMismatchError("induced morphism lands in a right act")
     if target.monoid is not M and target.monoid != M:
         raise MonoidMismatchError("induced morphism lands in an act over another monoid")
-    m, n = sk.length, target.size
+    m = sk.length
     if len(witnesses) != m + 1:
         raise WitnessesInvalidError(-1)
-    for w in witnesses:
-        if not (0 <= w < n):
-            raise ElementNotFoundError(str(w), "right act carrier")
+    _check_indices(witnesses, target.size, "right act carrier")
     ttbl, e = target.table, sk.entries
     Q, _, reps = _standard_parts(M, e)
     for i in range(m):

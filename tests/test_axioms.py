@@ -18,7 +18,9 @@ from actalab.axioms import (
     sentence_to_text,
     torsion_free_axioms,
 )
-from actalab.errors import ValidationError
+from actalab.conditions import as_pairs
+from actalab.errors import SideMismatchError, ValidationError
+from actalab.monoid import min_generating_set
 
 
 def test_act_axioms_present_in_every_set(zoo_monoids):
@@ -99,6 +101,17 @@ def test_w_sentences_hold_on_regular_act(zoo_monoids):
         B = al.regular_act(M, "left")
         for sent in al.emit_axioms(M, "W").sentences:
             assert al.model_check(B, sent)[0], sent.name
+
+
+def test_right_act_rejected(natmin3):
+    """Sentences of the left-act language refuse a right act, also when a
+    whole set is checked at once."""
+    B = al.regular_act(natmin3, "right")
+    sentences = al.emit_axioms(natmin3, "P").sentences
+    with pytest.raises(SideMismatchError):
+        satisfies_all(B, sentences)
+    with pytest.raises(SideMismatchError):
+        al.model_check(B, sentences[0])
 
 
 def test_act_axioms_characterize_valid_tables(z2, null2):
@@ -235,6 +248,39 @@ def test_plans_match_walker_on_sentence_variants(zoo_monoids, left_zero):
         for B in al.enumerate_acts(M, "left", 3):
             for sent in variants:
                 assert check_table(B.table, sent) == model_check_table(M, B.table, sent)
+
+
+def _theta_chain_sentence(M, a, n):
+    """(∀x)(∀y)(a·x = a·y → (∃z1)...(∃zn) ⋁ θ_a-chains of length ≤ n), a
+    chain x = u1·z1 ∧ v1·z1 = u2·z2 ∧ ... ∧ vl·zl = y taking each (ui, vi)
+    from the generators of R(a,a): disjuncts whose middle equations pair
+    two exists variables."""
+    gens = as_pairs(min_generating_set(al.R_set(M, a, a)))
+    zs = tuple(f"z{i}" for i in range(1, n + 1))
+    consequent = []
+    for length in range(1, n + 1):
+        for chain in product(gens, repeat=length):
+            eqs = [Equation(Term((), "x"), Term((chain[0][0],), zs[0]))]
+            eqs += [
+                Equation(Term((chain[i][1],), zs[i]), Term((chain[i + 1][0],), zs[i + 1]))
+                for i in range(length - 1)
+            ]
+            eqs.append(Equation(Term((chain[-1][1],), zs[length - 1]), Term((), "y")))
+            consequent.append(tuple(eqs))
+    return Sentence(f"theta[{M.label(a)},{n}]", ("x", "y"), "implication",
+                    antecedent=(Equation(Term((a,), "x"), Term((a,), "y")),),
+                    exists=zs, consequent=tuple(consequent))
+
+
+def test_plans_match_walker_on_theta_chains(zoo_monoids, left_zero):
+    """θ_a-chain sentences with up to three exists variables: the plans
+    give the walker's verdict and counterexample on every act of size <=3."""
+    for M in list(zoo_monoids) + [left_zero]:
+        sentences = [_theta_chain_sentence(M, a, n) for a in M.elements() for n in (1, 2, 3)]
+        for B in al.enumerate_acts(M, "left", 3):
+            for sent in sentences:
+                expected = model_check_table(M, B.table, sent)
+                assert check_table(B.table, sent) == expected, (M.name, B.table, sent.name)
 
 
 def test_plans_match_walker_on_law_breaking_tables(z2, null2):

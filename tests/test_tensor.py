@@ -419,10 +419,11 @@ def test_induced_morphism_every_chain(z2, null2, natmin3):
 
 def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
     """A skeleton entry -1 or |S| is not an element: the standard quotient,
-    its [x]S ∪ [x']S table and the induced morphism refuse it instead of
-    wrapping or indexing past the table."""
+    its [x]S ∪ [x']S table, the induced morphism and the zigzag functions
+    refuse it instead of wrapping or indexing past the table."""
     for M in (z2, null2, natmin3):
         S = al.regular_act(M, "right")
+        B = al.regular_act(M, "left")
         for m in (1, 2):
             for i, bad in product(range(2 * m), (-1, M.size)):
                 sk = Skeleton((0,) * i + (bad,) + (0,) * (2 * m - 1 - i))
@@ -432,6 +433,27 @@ def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
                     standard_subact(M, sk.entries)
                 with pytest.raises(ElementNotFoundError):
                     al.induced_morphism(M, sk, S, (0,) * (m + 1))
+                with pytest.raises(ElementNotFoundError):
+                    al.eval_delta(S, sk, 0, 0)
+                with pytest.raises(ElementNotFoundError):
+                    al.eval_gamma(B, sk, 0, 0)
+                with pytest.raises(ElementNotFoundError):
+                    gamma_pairs(B, sk)
+
+
+def test_zigzag_endpoints_outside_act(z2, natmin3):
+    """An endpoint -1 or |A| is not a point of the act: eval_delta and
+    eval_gamma refuse it instead of wrapping, raising a bare IndexError or
+    answering that no chain exists."""
+    for M in (z2, natmin3):
+        S, B = al.regular_act(M, "right"), al.regular_act(M, "left")
+        for m, bad in product((1, 2), (-1, M.size)):
+            sk = Skeleton((M.identity,) * (2 * m))
+            for ends in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(ElementNotFoundError):
+                    al.eval_delta(S, sk, *ends)
+                with pytest.raises(ElementNotFoundError):
+                    al.eval_gamma(B, sk, *ends)
     with pytest.raises(ElementNotFoundError):
         al.induced_morphism(z2, Skeleton((-1, 0)), al.regular_act(z2, "right"), (0, 1))
 
