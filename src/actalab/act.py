@@ -193,10 +193,12 @@ def enumerate_acts(
     """Yield every act on carriers of size 1..max_size, in deterministic order.
 
     Rows (one per non-identity element) are assigned in element order, so
-    tables come in lexicographic order.  Each row is drawn from the rows that
-    obey its own law with the identity (x·x = 1 or x·x = x), narrowed entry by
-    entry by the laws whose other rows are already fixed, and then checked
-    against every act law it completes.  With distinct=True only the
+    tables come in lexicographic order.  Writing f∘g for the row f applied
+    after the row g, each act law a new row x completes is kept in one
+    place: the laws where x occurs once, and f∘x = x, narrow each entry of
+    x; its own square x∘x = h, once h is x or already assigned, is kept by
+    an entry-by-entry search for the rows r with r[r[a]] = h[a]; and
+    x∘g = x is checked on each candidate.  With distinct=True only the
     lexicographically-canonical member of each isomorphism class is emitted:
     the search is orderly, cutting a prefix as soon as some carrier
     relabelling maps it onto a smaller one (McKay, J. Algorithms 26, 1998).
@@ -209,30 +211,38 @@ def enumerate_acts(
         yield from _enumerate_size(M, side, k, distinct)
 
 
-def _row_trie(rows: Iterable[tuple[int, ...]], k: int) -> list:
-    """Rows as a prefix tree: one list of k slots per level, None where no
-    row continues, and the row itself as leaf."""
-    trie: list = [None] * k
-    for row in rows:
-        node = trie
-        for v in row[:-1]:
-            if node[v] is None:
-                node[v] = [None] * k
-            node = node[v]
-        node[row[-1]] = row
-    return trie
+def _rows_squaring_to(
+    domains: Sequence[Sequence[int]], square: Sequence[int] | None
+) -> list:
+    """The rows r with r[a] in domains[a] and r[r[a]] = square[a], or
+    r[r[a]] = r[a] when square is None, in lexicographic order when each
+    domain is sorted.  Entries are filled in order; a value v beyond the
+    entry being filled leaves `need[v]`, the value r[v] must take."""
+    k = len(domains)
+    row = [0] * k
+    need: list[int | None] = [None] * k
+    found = []
 
+    def fill(a: int) -> None:
+        values = domains[a]
+        if need[a] is not None:
+            values = [need[a]] if need[a] in values else []
+        for v in values:
+            row[a] = v
+            want = v if square is None else square[a]
+            if v > a:
+                if need[v] in (None, want):
+                    before, need[v] = need[v], want
+                    fill(a + 1)
+                    need[v] = before
+            elif row[v] == want:
+                if a + 1 == k:
+                    found.append(tuple(row))
+                else:
+                    fill(a + 1)
 
-def _rows_within(trie: list, domains: Sequence[Sequence[int]]) -> list:
-    """The rows of a trie whose entry a lies in domains[a], in lexicographic
-    order when each domain is sorted."""
-    level = [trie]
-    for values in domains:
-        level = [
-            child for node in level for v in values
-            if (child := node[v]) is not None
-        ]
-    return level
+    fill(0)
+    return found
 
 
 def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Iterator[Act]:
@@ -250,48 +260,28 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     def comp(f: int, g: int) -> int:
         return mul[f][g] if left else mul[g][f]
 
-    # the laws f∘g = comp(f, g), as triples (f, g, comp(f, g)), that become
-    # fully determined once `order[p]` lands; and, per position, the laws
-    # whose other rows are already fixed, which narrow each entry of the new
-    # row x before any candidate is tried:
+    # Each law f∘g = comp(f, g) that the new row x completes is kept in one
+    # place.  Those where x occurs once, and f∘x = x, narrow each entry of x
+    # before any candidate is tried:
     #   forced   x = f∘g           x(a) = f(g(a))
     #   preimage f∘x = h           x(a) in f^-1(h(a))
     #   pinned   x∘g = h           x(g(a)) = h(a)
     #   fixing   f∘x = x           x(a) in Fix(f)
-    check_plan: list[list[tuple[int, int, int]]] = []
-    forced, preimage, pinned, fixing = [], [], [], []
+    # x's own square x∘x = h, once h is x or assigned, is kept by the row
+    # search (`squares`), and x∘g = x is checked on each candidate
+    # (`absorbing`).  A square that lands later is a `forced` law of its row.
+    forced, preimage, pinned, fixing, squares, absorbing = [], [], [], [], [], []
     assigned = {e}
     for x in order:
-        now = assigned | {x}
-        check_plan.append([
-            (f, g, h)
-            for f in now
-            for g in now
-            if (h := comp(f, g)) in now and x in (f, g, h)
-        ])
         fixed = sorted(assigned - {e})
         forced.append([(f, g) for f in fixed for g in fixed if comp(f, g) == x])
         preimage.append([(f, comp(f, x)) for f in fixed if comp(f, x) in assigned])
         pinned.append([(g, comp(x, g)) for g in fixed if comp(x, g) in assigned])
         fixing.append([f for f in fixed if comp(f, x) == x])
+        h = comp(x, x)
+        squares.append(h if h == x or h in assigned else None)
+        absorbing.append([g for g in fixed if comp(x, g) == x])
         assigned.add(x)
-
-    # Per-size row lists: the one law on x and the identity alone is x·x = 1
-    # or x·x = x, so x's row is an involution or idempotent.  Rows under the
-    # same law share one trie; a row under neither reads its domains directly.
-    square_law = {
-        "involution": lambda r: all(r[v] == a for a, v in enumerate(r)),
-        "idempotent": lambda r: all(r[v] == v for v in r),
-    }
-    by_law: dict = {None: None}  # no trie for rows under no law
-    tries = {}
-    for x in order:
-        sq = mul[x][x]
-        law = "involution" if sq == e else "idempotent" if sq == x else None
-        if law not in by_law:
-            every_row = product(range(k), repeat=k)
-            by_law[law] = _row_trie(filter(square_law[law], every_row), k)
-        tries[x] = by_law[law]
 
     full = (1 << k) - 1
     points_in = [[v for v in range(k) if m >> v & 1] for m in range(1 << k)]
@@ -324,13 +314,16 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
                 allowed[a] &= fix
         return [points_in[m] for m in allowed]
 
-    def consistent(laws):
-        for f, g, h in laws:
-            F, G, H = rows[f], rows[g], rows[h]
-            for a in range(k):
-                if F[G[a]] != H[a]:
-                    return False
-        return True
+    def candidates(pos: int):
+        """The rows within the domains of `pos` that obey x's own square; a
+        row that `forced` pins has its square checked on that one row."""
+        allowed, h = domains(pos), squares[pos]
+        if h is None:
+            return product(*allowed)
+        square = None if h == order[pos] else rows[h]
+        if not forced[pos]:
+            return _rows_squaring_to(allowed, square)
+        return [r for r in product(*allowed) if tuple([r[v] for v in r]) == (square or r)]
 
     # Orderly generation: a relabelling p maps row r to r^p with
     # r^p[p(a)] = p(r[a]), and fixes the identity row.  Rows are assigned in
@@ -343,12 +336,11 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
             yield Act(M, side, names, tuple(rows))  # type: ignore[arg-type]
             return
         x = order[pos]
-        plan = check_plan[pos]
-        trie, allowed = tries[x], domains(pos)
-        for cand in product(*allowed) if trie is None else _rows_within(trie, allowed):
-            rows[x] = cand
-            if not consistent(plan):
+        laws = [rows[g] for g in absorbing[pos]]
+        for cand in candidates(pos):
+            if laws and any(tuple([cand[v] for v in G]) != cand for G in laws):
                 continue
+            rows[x] = cand
             if stab is None:
                 yield from backtrack(pos + 1, None)
                 continue

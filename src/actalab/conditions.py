@@ -320,8 +320,9 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
         raise ValidationError("flatness bound must be at least 1")
     M = B.monoid
     n, nb = M.size, B.size
-    checked = 0
-    for m in range(1, m_max + 1):
+    # skip m = 1: [x]S ∪ [x']S is its whole quotient, which joins every gamma pair
+    checked = n * n
+    for m in range(2, m_max + 1):
         for entries in product(range(n), repeat=2 * m):
             checked += 1
             sk = Skeleton(entries)

@@ -384,6 +384,8 @@ def eval_gamma(
 def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     """All (b, b2) with a gamma witness chain, in one walk per source b;
     a b outside the image of s1 has no first witness."""
+    if B.side != "left":
+        raise SideMismatchError("gamma formulas evaluate in a left act")
     tbl, e = B.table, sk.entries
     _check_indices(e, len(tbl), "monoid")  # one row per monoid element
     return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])

@@ -285,15 +285,22 @@ def _full_transformations_2():
     return al.validate_monoid(list(maps), table, "id", name="T2")
 
 
-def test_enumeration_matches_naive_filter(z2, null2, natmin3, left_zero):
+def test_enumeration_matches_naive_filter(
+    z2, z3, null2, natmin3, semilattice22, left_zero
+):
     """Oracle: every raw table in product order, kept when lawful, on both
     sides; the distinct stream is that stream cut to its canonical tables.
     left_zero and T2 are not commutative, so their left and right streams
-    differ."""
+    differ.  In semilattice22 (b·b = f) and z3 (g2·g2 = g, a forced row) a
+    row's square is an earlier row other than the identity and itself;
+    omega2 has a law x∘g = x (e2·e1 = e2)."""
     from itertools import product as iproduct
 
     T2 = _full_transformations_2()
-    for M, k in [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3), (T2, 3)]:
+    omega2 = al.build("inverse_omega_chain", n=2)
+    cases = [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3), (T2, 3),
+             (semilattice22, 3), (z3, 3), (omega2, 3)]
+    for M, k in cases:
         rows = list(iproduct(range(k), repeat=k))
         free = [i for i in range(M.size) if i != M.identity]
         streams = {}

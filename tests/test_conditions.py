@@ -249,16 +249,16 @@ def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
 
 
 def test_flat_bound_three_keeps_every_standard_subact(natmin3):
-    """The 16 + 256 + 4096 skeletons of length <= 3 over natmin3 (4
-    elements) all fit standard_subact's cache, so a sweep of acts at m=3
-    merges each standard quotient once."""
+    """The 256 + 4096 skeletons of length 2 and 3 over natmin3 (4 elements)
+    all fit standard_subact's cache, so a sweep of acts at m=3 merges each
+    standard quotient once; length 1 cannot refute and is skipped."""
     from actalab.tensor import standard_subact
 
     assert natmin3.size == 4
     standard_subact.cache_clear()
     for B in al.enumerate_acts(natmin3, "left", 2):
         al.check_flat_bounded(B, 3)
-    assert standard_subact.cache_info().misses == 4368
+    assert standard_subact.cache_info().misses == 4352
 
 
 def test_flat_bounded_failure_witness_revalidates(null2):

@@ -441,6 +441,23 @@ def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
                     gamma_pairs(B, sk)
 
 
+def test_zigzag_functions_check_the_side(z2, natmin3):
+    """delta formulas evaluate in a right act and gamma formulas in a left
+    act; each zigzag function refuses an act on the other side."""
+    for M in (z2, natmin3):
+        S, B = al.regular_act(M, "right"), al.regular_act(M, "left")
+        for m in (1, 2):
+            sk = Skeleton((M.identity,) * (2 * m))
+            with pytest.raises(SideMismatchError):
+                al.eval_delta(B, sk, 0, 0)
+            with pytest.raises(SideMismatchError):
+                al.eval_gamma(S, sk, 0, 0)
+            with pytest.raises(SideMismatchError):
+                gamma_pairs(S, sk)
+            assert al.eval_delta(S, sk, 0, 0)[0] and al.eval_gamma(B, sk, 0, 0)[0]
+            assert (0, 0) in gamma_pairs(B, sk)
+
+
 def test_zigzag_endpoints_outside_act(z2, natmin3):
     """An endpoint -1 or |A| is not a point of the act: eval_delta and
     eval_gamma refuse it instead of wrapping, raising a bare IndexError or

@@ -14,11 +14,11 @@ The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
 skeleton bound 1 and, over the monoids of order <= 3, bound 3, `tensor`,
 `tossing`, `axioms emit|modelcheck|verify`, `replace compute|verify`,
-`enumerate`, `zoo`, malformed monoid and act files, and the budget guards.
-The input files are written to a temporary directory, which is also the
-working directory of the runs.  Only the standard library and the package
-under src/ are used; the script takes no options and its output does not
-depend on the machine.
+`enumerate` up to carrier size 4, plain and --distinct, `zoo`, malformed
+monoid and act files, and the budget guards.  The input files are written
+to a temporary directory, which is also the working directory of the runs.
+Only the standard library and the package under src/ are used; the script
+takes no options and its output does not depend on the machine.
 """
 
 import contextlib
@@ -133,7 +133,7 @@ def corpus_for(index, M):
                  "--s", M.element_names[-1], "--json"])
 
     for side in ("left", "right"):
-        for size in ("2", "3"):
+        for size in ("2", "3", "4"):
             base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
             run(base)
             run(base + ["--distinct"])
