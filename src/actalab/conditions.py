@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 from .act import Act, find_root
@@ -33,7 +32,14 @@ from .monoid import (
     min_generating_set,
     r_set,
 )
-from .tensor import Skeleton, _presented_tensor, _relations, gamma_pairs, standard_subact
+from .tensor import (
+    Skeleton,
+    _gamma_relations,
+    _presented_tensor,
+    _relations,
+    gamma_pairs,
+    standard_subact,
+)
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -307,38 +313,60 @@ def check_wf(B: Act) -> ConditionReport:
     return ConditionReport("WF", "fails", witness)
 
 
+def _joined_pairs(B: Act, x_rows: tuple[int, ...]) -> int:
+    """The pairs (b, b2) with x ⊗ b = x' ⊗ b2 in ([x]S ∪ [x']S) ⊗ B, bit
+    b*|B| + b2, for the subact presented by the table x_rows of x*u then
+    x'*u, u in S."""
+    nb = B.size
+    parent = _presented_tensor(B.table, 2, _relations(x_rows, B.monoid.size))
+    roots = [find_root(parent, pos) for pos in range(2 * nb)]
+    return sum(
+        1 << b * nb + b2 for b in range(nb) for b2 in range(nb) if roots[b] == roots[nb + b2]
+    )
+
+
 def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
     """Refutation procedure for flatness over skeletons of length <= m_max.
 
     For each skeleton the standard quotient connects ([x], b) to ([x'], b2)
     whenever the gamma chain holds in B; flatness forces the same equality
-    in ([x]S ∪ [x']S) ⊗ B.  A failure here is a definitive non-flatness
-    witness; exhausting the bound is only "passes-up-to-bound".
+    in ([x]S ∪ [x']S) ⊗ B.  The skeletons are tried in `product` order,
+    shortest first.  Their gamma relations are composed one step at a time
+    along shared prefixes, and ([x]S ∪ [x']S) ⊗ B is merged once per call
+    for each pattern of shared roots among the `standard_subact` tables, so
+    a skeleton costs a few lookups.  Only a failing skeleton walks
+    `gamma_pairs`, and its first split pair is the witness.  A failure here
+    is a definitive non-flatness witness; exhausting the bound is only
+    "passes-up-to-bound".
     """
     _require_left(B)
     if m_max < 1:
         raise ValidationError("flatness bound must be at least 1")
     M = B.monoid
     n, nb = M.size, B.size
+    # the merge reads only which of the subact's 2|S| positions share a
+    # root, so it runs once per such pattern: the roots renamed in order of
+    # first appearance
+    joined_by_subact: dict[tuple[int, ...], int] = {}
+    joined_by_blocks: dict[tuple[int, ...], int] = {}
     # skip m = 1: [x]S ∪ [x']S is its whole quotient, which joins every gamma pair
-    checked = n * n
     for m in range(2, m_max + 1):
-        for entries in product(range(n), repeat=2 * m):
-            checked += 1
-            sk = Skeleton(entries)
-            gp = gamma_pairs(B, sk)
-            if not gp:
-                continue
+        for entries, rel in _gamma_relations(B, m):
             x_rows = standard_subact(M, entries)
-            parent = _presented_tensor(B.table, 2, _relations(x_rows, n))
-            for b, b2 in gp:
-                if find_root(parent, b) != find_root(parent, nb + b2):
-                    witness = {
-                        "skeleton": list(sk.labels(M)),
-                        "b": B.label(b),
-                        "b2": B.label(b2),
-                    }
-                    return ConditionReport("FLAT", "fails", witness)
+            same = joined_by_subact.get(x_rows)
+            if same is None:
+                first: dict[int, int] = {}
+                blocks = tuple(first.setdefault(r, len(first)) for r in x_rows)
+                if blocks not in joined_by_blocks:
+                    joined_by_blocks[blocks] = _joined_pairs(B, blocks)
+                same = joined_by_subact[x_rows] = joined_by_blocks[blocks]
+            if rel & ~same:
+                sk = Skeleton(entries)
+                pairs = gamma_pairs(B, sk)
+                b, b2 = next((b, b2) for b, b2 in pairs if not same >> b * nb + b2 & 1)
+                witness = {"skeleton": list(sk.labels(M)), "b": B.label(b), "b2": B.label(b2)}
+                return ConditionReport("FLAT", "fails", witness)
+    checked = sum(n ** (2 * m) for m in range(1, m_max + 1))
     return ConditionReport(
         "FLAT", "passes-up-to-bound", None, {"m_max": m_max, "skeletons": checked}
     )

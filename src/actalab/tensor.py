@@ -391,6 +391,53 @@ def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])
 
 
+def _gamma_relations(B: Act, m: int):
+    """(entries, rel) for every skeleton of length m whose gamma pairs in
+    the left act B are not empty, in `product` order: bit b*|B| + b2 of rel
+    is set when (b, b2) is a gamma pair.
+
+    Step (s, t) takes v to {t*x : s*x = v}, and a skeleton's relation is the
+    composite of its steps, so each prefix is composed once and shared by
+    every skeleton that extends it; a prefix that reaches nothing is not
+    extended.  Each step keeps the composites it has made, since few
+    distinct relations occur.
+    """
+    tbl, nb = B.table, B.size
+    low = (1 << nb) - 1
+    steps = []
+    for s, srow in enumerate(tbl):
+        for t, trow in enumerate(tbl):
+            succ = [0] * nb
+            for v, w in zip(srow, trow):
+                succ[v] |= 1 << w
+            steps.append(((s, t), succ, {}))
+
+    def compose(rel, succ):
+        out = 0
+        for shift in range(0, nb * nb, nb):
+            reach, v = rel >> shift & low, 0
+            while reach:
+                if reach & 1:
+                    out |= succ[v] << shift
+                reach >>= 1
+                v += 1
+        return out
+
+    def extend(prefix, rel, depth):
+        for step, succ, made in steps:
+            nxt = made.get(rel)
+            if nxt is None:
+                nxt = made[rel] = compose(rel, succ)
+            if not nxt:
+                continue
+            if depth == 1:
+                yield prefix + step, nxt
+            else:
+                yield from extend(prefix + step, nxt, depth - 1)
+
+    return extend((), sum(1 << b * (nb + 1) for b in range(nb)), m)
+
+
 def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
     """Merge-find parents of the standard quotient Q on positions i*|S| + u,
     each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is m+1 copies of S merged

@@ -235,17 +235,23 @@ def test_flat_bounded_regular_act(zoo_monoids):
 
 
 def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
-    """The presented merge-find against a full ([x]S ∪ [x']S) ⊗ B per
-    skeleton: identical reports at m=2 on every left act of size <= 3 of
-    the zoo and left_zero, and at m=3 on those of null2 and left_zero."""
+    """The prefix-composed search against a full ([x]S ∪ [x']S) ⊗ B and a
+    gamma_pairs walk per skeleton: identical reports at m=2 on every left
+    act of size <= 3 of the zoo and left_zero and on the 101 of size 4 of
+    null2, and at m=3 on those of size <= 3 of null2 and left_zero."""
     verdicts = set()
-    cases = [(M, 2) for M in zoo_monoids + [left_zero]] + [(null2, 3), (left_zero, 3)]
-    for M, m in cases:
-        for B in al.enumerate_acts(M, "left", 3):
+    cases = [(M, 2, al.enumerate_acts(M, "left", 3)) for M in zoo_monoids + [left_zero]]
+    cases += [(M, 3, al.enumerate_acts(M, "left", 3)) for M in (null2, left_zero)]
+    size4 = [B for B in al.enumerate_acts(null2, "left", 4) if B.size == 4]
+    cases.append((null2, 2, size4))
+    for M, m, acts in cases:
+        for B in acts:
             report = al.check_flat_bounded(B, m)
             assert report.to_dict() == flat_bounded_oracle(B, m).to_dict(), B.table
             verdicts.add(report.verdict)
     assert verdicts == {"fails", "passes-up-to-bound"}
+    assert len(size4) == 101
+    assert sum(not al.check_flat_bounded(B, 2).holds for B in size4) == 76
 
 
 def test_flat_bound_three_keeps_every_standard_subact(natmin3):

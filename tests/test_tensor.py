@@ -14,6 +14,7 @@ from actalab.errors import (
 from actalab.tensor import (
     Skeleton,
     Tossing,
+    _gamma_relations,
     _tossing_index,
     gamma_pairs,
     standard_subact,
@@ -221,6 +222,25 @@ def test_gamma_pairs_matches_eval(small_cases):
             for b in B.carrier():
                 for b2 in B.carrier():
                     assert ((b, b2) in table) == al.eval_gamma(B, sk, b, b2)[0]
+
+
+def test_composed_gamma_relations_match_gamma_pairs(natmin3):
+    """The prefix-composed relations of the flatness search against a fresh
+    gamma_pairs walk for every skeleton of length 2 and 3 over natmin3: at
+    length 2 on every left act of size <= 3, at length 3 on one act of each
+    isomorphism class of size <= 3 (a walk per skeleton of every labelled
+    act would take seconds).  A skeleton the composition skips has no pairs."""
+    acts = list(al.enumerate_acts(natmin3, "left", 3))
+    classes = list(al.enumerate_acts(natmin3, "left", 3, distinct=True))
+    assert len(acts) == 72 and len(classes) == 18
+    for m, group in ((2, acts), (3, classes)):
+        for B in group:
+            nb = B.size
+            rels = dict(_gamma_relations(B, m))
+            for entries in product(range(natmin3.size), repeat=2 * m):
+                pairs = gamma_pairs(B, Skeleton(entries))
+                assert rels.get(entries, 0) == sum(1 << b * nb + b2 for b, b2 in pairs)
+            assert list(rels) == sorted(rels)
 
 
 def test_oracle_equivalence_small(null2, natmin3):
