@@ -194,14 +194,15 @@ def enumerate_acts(
 
     Rows (one per non-identity element) are assigned in element order, so
     tables come in lexicographic order.  Writing f∘g for the row f applied
-    after the row g, each act law a new row x completes is kept in one
-    place: the laws where x occurs once, and f∘x = x, narrow each entry of
-    x; its own square x∘x = h, once h is x or already assigned, is kept by
-    an entry-by-entry search for the rows r with r[r[a]] = h[a]; and
-    x∘g = x is checked on each candidate.  With distinct=True only the
-    lexicographically-canonical member of each isomorphism class is emitted:
-    the search is orderly, cutting a prefix as soon as some carrier
-    relabelling maps it onto a smaller one (McKay, J. Algorithms 26, 1998).
+    after the row g, each act law a new row x completes is kept at x once
+    its target h is known (assigned, or a product of assigned rows), else
+    at h: the laws where x occurs once, and f∘x = x, narrow each entry of
+    x; unless x is such a product, x∘x = h, once h is x or known, is kept
+    by a search for the rows r with r[r[a]] = h[a]; x∘g = x is checked on
+    each candidate.  With distinct=True only the lexicographically-canonical
+    member of each isomorphism class is emitted: the search is orderly,
+    cutting a prefix as soon as some carrier relabelling maps it onto a
+    smaller one (McKay, J. Algorithms 26, 1998).
     """
     if max_size < 1:
         raise ValidationError("max_size must be at least 1")
@@ -260,26 +261,32 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     def comp(f: int, g: int) -> int:
         return mul[f][g] if left else mul[g][f]
 
-    # Each law f∘g = comp(f, g) that the new row x completes is kept in one
-    # place.  Those where x occurs once, and f∘x = x, narrow each entry of x
-    # before any candidate is tried:
+    # Each law f∘g = comp(f, g) that the new row x completes is kept at x
+    # once its target h is known: assigned, as the pair (h, e), or the
+    # product f'∘g' of assigned rows that h's `forced` law will pin it to;
+    # else at h.  Those where x occurs once, and f∘x = x, narrow each entry
+    # of x before any candidate is tried:
     #   forced   x = f∘g           x(a) = f(g(a))
     #   preimage f∘x = h           x(a) in f^-1(h(a))
     #   pinned   x∘g = h           x(g(a)) = h(a)
     #   fixing   f∘x = x           x(a) in Fix(f)
-    # x's own square x∘x = h, once h is x or assigned, is kept by the row
-    # search (`squares`), and x∘g = x is checked on each candidate
-    # (`absorbing`).  A square that lands later is a `forced` law of its row.
+    # x's own square x∘x = h, once h is x or known and x is not forced, is
+    # kept by the row search (`squares`), and x∘g = x is checked on each
+    # candidate (`absorbing`).
     forced, preimage, pinned, fixing, squares, absorbing = [], [], [], [], [], []
     assigned = {e}
     for x in order:
         fixed = sorted(assigned - {e})
+        known = {comp(f, g): (f, g) for f in fixed for g in fixed}
+        known.update({h: (h, e) for h in assigned})
+        known.pop(x, None)  # f∘x = x stays `fixing`
         forced.append([(f, g) for f in fixed for g in fixed if comp(f, g) == x])
-        preimage.append([(f, comp(f, x)) for f in fixed if comp(f, x) in assigned])
-        pinned.append([(g, comp(x, g)) for g in fixed if comp(x, g) in assigned])
+        preimage.append([(f, known[comp(f, x)]) for f in fixed if comp(f, x) in known])
+        pinned.append([(g, known[comp(x, g)]) for g in fixed if comp(x, g) in known])
         fixing.append([f for f in fixed if comp(f, x) == x])
         h = comp(x, x)
-        squares.append(h if h == x or h in assigned else None)
+        # x = f∘g needs no square: x∘x = f∘(g∘x) follows from the other laws
+        squares.append(None if forced[-1] else (x, e) if h == x else known.get(h))
         absorbing.append([g for g in fixed if comp(x, g) == x])
         assigned.add(x)
 
@@ -287,6 +294,10 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     points_in = [[v for v in range(k) if m >> v & 1] for m in range(1 << k)]
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[e] = tuple(range(k))
+
+    def row(f: int, g: int):
+        """The row of a known element: rows[f] after rows[g]."""
+        return rows[f] if g == e else [rows[f][v] for v in rows[g]]
 
     def domains(pos: int) -> list[list[int]]:
         """The values each entry of the row at `pos` may take, as bitmasks
@@ -297,14 +308,14 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
             for a in range(k):
                 allowed[a] &= 1 << F[G[a]]
         for f, h in preimage[pos]:
-            F, H = rows[f], rows[h]
+            F, H = rows[f], row(*h)
             pre = [0] * k
             for a in range(k):
                 pre[F[a]] |= 1 << a
             for a in range(k):
                 allowed[a] &= pre[H[a]]
         for g, h in pinned[pos]:
-            G, H = rows[g], rows[h]
+            G, H = rows[g], row(*h)
             for a in range(k):
                 allowed[G[a]] &= 1 << H[a]
         for f in fixing[pos]:
@@ -315,15 +326,12 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
         return [points_in[m] for m in allowed]
 
     def candidates(pos: int):
-        """The rows within the domains of `pos` that obey x's own square; a
-        row that `forced` pins has its square checked on that one row."""
+        """The rows within the domains of `pos`, searched by x's own square
+        where `squares` keeps it, else read lazily as their product."""
         allowed, h = domains(pos), squares[pos]
         if h is None:
             return product(*allowed)
-        square = None if h == order[pos] else rows[h]
-        if not forced[pos]:
-            return _rows_squaring_to(allowed, square)
-        return [r for r in product(*allowed) if tuple([r[v] for v in r]) == (square or r)]
+        return _rows_squaring_to(allowed, None if h[0] == order[pos] else row(*h))
 
     # Orderly generation: a relabelling p maps row r to r^p with
     # r^p[p(a)] = p(r[a]), and fixes the identity row.  Rows are assigned in

@@ -333,33 +333,25 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
     in ([x]S ∪ [x']S) ⊗ B.  The skeletons are tried in `product` order,
     shortest first.  Their gamma relations are composed one step at a time
     along shared prefixes, and ([x]S ∪ [x']S) ⊗ B is merged once per call
-    for each pattern of shared roots among the `standard_subact` tables, so
-    a skeleton costs a few lookups.  Only a failing skeleton walks
-    `gamma_pairs`, and its first split pair is the witness.  A failure here
-    is a definitive non-flatness witness; exhausting the bound is only
-    "passes-up-to-bound".
+    for each `standard_subact` table, so a skeleton costs a few lookups.
+    Only a failing skeleton walks `gamma_pairs`, and its first split pair
+    is the witness.  A failure here is a definitive non-flatness witness;
+    exhausting the bound is only "passes-up-to-bound".
     """
     _require_left(B)
     if m_max < 1:
         raise ValidationError("flatness bound must be at least 1")
     M = B.monoid
     n, nb = M.size, B.size
-    # the merge reads only which of the subact's 2|S| positions share a
-    # root, so it runs once per such pattern: the roots renamed in order of
-    # first appearance
-    joined_by_subact: dict[tuple[int, ...], int] = {}
-    joined_by_blocks: dict[tuple[int, ...], int] = {}
+    # the joined pairs of each standard subact table, merged once per call
+    joined: dict[tuple[int, ...], int] = {}
     # skip m = 1: [x]S ∪ [x']S is its whole quotient, which joins every gamma pair
     for m in range(2, m_max + 1):
         for entries, rel in _gamma_relations(B, m):
             x_rows = standard_subact(M, entries)
-            same = joined_by_subact.get(x_rows)
+            same = joined.get(x_rows)
             if same is None:
-                first: dict[int, int] = {}
-                blocks = tuple(first.setdefault(r, len(first)) for r in x_rows)
-                if blocks not in joined_by_blocks:
-                    joined_by_blocks[blocks] = _joined_pairs(B, blocks)
-                same = joined_by_subact[x_rows] = joined_by_blocks[blocks]
+                same = joined[x_rows] = _joined_pairs(B, x_rows)
             if rel & ~same:
                 sk = Skeleton(entries)
                 pairs = gamma_pairs(B, sk)

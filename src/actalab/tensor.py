@@ -473,13 +473,13 @@ def standard_tossing_act(M: FiniteMonoid, sk: Skeleton) -> tuple[Act, tuple[int,
 
 @lru_cache(maxsize=8192)
 def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Cached roots of x*u then x'*u, u in S, in the standard quotient's
-    merge-find: a table presenting [x]S ∪ [x']S by its generators [x] and
-    [x'], as _relations reads it."""
-    parent = _standard_merge(M, entries)
-    n = M.size
+    """Cached classes of x*u then x'*u, u in S, in the standard quotient,
+    numbered in order of first appearance: a table presenting [x]S ∪ [x']S
+    by its generators [x] and [x'], as _relations reads it."""
+    parent, n, first = _standard_merge(M, entries), M.size, {}
     last = len(parent) - n
-    return tuple(find_root(parent, pos) for pos in (*range(n), *range(last, last + n)))
+    positions = (*range(n), *range(last, last + n))
+    return tuple(first.setdefault(find_root(parent, pos), len(first)) for pos in positions)
 
 
 def induced_morphism(

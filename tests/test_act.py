@@ -293,13 +293,19 @@ def test_enumeration_matches_naive_filter(
     left_zero and T2 are not commutative, so their left and right streams
     differ.  In semilattice22 (b·b = f) and z3 (g2·g2 = g, a forced row) a
     row's square is an earlier row other than the identity and itself;
-    omega2 has a law x∘g = x (e2·e1 = e2)."""
+    omega2 has a law x∘g = x (e2·e1 = e2).  In null3 the square of x2, and
+    its laws x1·x2 = x2·x1 = 0, land on the later zero, which is already
+    known as the product x1·x1 of assigned rows.  In z2 with an identity
+    adjoined, labelled g before the group's identity f, the law g·f = g at
+    f lands on an assigned row that no two assigned rows multiply to."""
     from itertools import product as iproduct
 
     T2 = _full_transformations_2()
     omega2 = al.build("inverse_omega_chain", n=2)
+    null3 = al.build("null_adjoined", n=3)
+    z2_one = al.monoid_from_indices("z2_one", ["1", "g", "f"], [[0, 1, 2], [1, 2, 1], [2, 1, 2]], 0)
     cases = [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3), (T2, 3),
-             (semilattice22, 3), (z3, 3), (omega2, 3)]
+             (semilattice22, 3), (z3, 3), (omega2, 3), (null3, 3), (z2_one, 3)]
     for M, k in cases:
         rows = list(iproduct(range(k), repeat=k))
         free = [i for i in range(M.size) if i != M.identity]
@@ -322,6 +328,49 @@ def test_enumeration_matches_naive_filter(
             streams[side] = mine
         if M in (left_zero, T2):
             assert streams["left"] != streams["right"]
+
+
+def test_enumeration_matches_generator_oracle():
+    """The monoid ⟨a, b | a·a = a, b·b = b, a·b = 0⟩, labelled 1, a, b,
+    ba, 0.  When row ba is assigned, the product of a and b in the other
+    order lands on the later zero, a known target from two distinct rows,
+    so the order in which they compose matters.  Oracle: every pair of
+    rows for a and b, with the rows of ba and ab composed from them, kept
+    when lawful, in lexicographic order."""
+    from itertools import product as iproduct
+
+    mul = [[0, 1, 2, 3, 4], [1, 1, 4, 4, 4], [2, 3, 2, 3, 4], [3, 3, 4, 4, 4], [4] * 5]
+    M = al.monoid_from_indices("ab0", ["1", "a", "b", "ba", "0"], mul, 0)
+    k = 3
+
+    def then(f, g):  # the row f, then the row g
+        return tuple(g[v] for v in f)
+
+    for side in ("left", "right"):
+        oracle = []
+        for A, B in iproduct(iproduct(range(k), repeat=k), repeat=2):
+            ba, ab = (then(A, B), then(B, A)) if side == "left" else (then(B, A), then(A, B))
+            table = (tuple(range(k)), A, B, ba, ab)
+            if satisfies_act_laws(M, side, table):
+                oracle.append(table)
+        mine = [a.table for a in al.enumerate_acts(M, side, k) if a.size == k]
+        assert mine == sorted(oracle)
+
+
+def test_enumeration_counts_do_not_depend_on_labelling():
+    """null_adjoined(3) with its zero labelled before x1 and x2 has as many
+    acts, and as many isomorphism classes, of each size on either side."""
+    M = al.build("null_adjoined", n=3)
+    mul = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 1, 1], [3, 1, 1, 1]]
+    relabelled = al.monoid_from_indices("null3_zero_first", ["eps", "0", "x1", "x2"], mul, 0)
+
+    def counts(N, side, distinct):
+        sizes = [a.size for a in al.enumerate_acts(N, side, 4, distinct)]
+        return [sizes.count(k) for k in range(1, 5)]
+
+    for side in ("left", "right"):
+        for distinct in (False, True):
+            assert counts(M, side, distinct) == counts(relabelled, side, distinct)
 
 
 def test_distinct_class_counts_to_size_five(semilattice22):

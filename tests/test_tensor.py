@@ -354,8 +354,8 @@ def test_standard_quotient_matches_free_act_oracle(zoo_monoids, left_zero, z2, n
     """The merged standard quotient against the free act's congruence
     quotient, on every skeleton of length <= 2 over the zoo and left_zero
     and of length 3 over z2 and null2: the same act (table and carrier
-    names) and marks, and standard_subact's roots split the positions x*u,
-    x'*u as the restricted [x]S ∪ [x']S does."""
+    names) and marks, and standard_subact's classes split the positions
+    x*u, x'*u as the restricted [x]S ∪ [x']S does."""
     cases = [(M, (1, 2)) for M in zoo_monoids + [left_zero]] + [(z2, (3,)), (null2, (3,))]
     for M, lengths in cases:
         for m in lengths:
@@ -364,8 +364,8 @@ def test_standard_quotient_matches_free_act_oracle(zoo_monoids, left_zero, z2, n
                 assert (Q, marks) == standard_quotient_oracle(M, entries), entries
                 U, x, xp = standard_subact_oracle(M, entries)
                 generated = [U.table[u][g] for g in (x, xp) for u in M.elements()]
-                roots = list(standard_subact(M, entries))
-                assert _split(roots) == _split(generated), (M.name, entries)
+                classes = list(standard_subact(M, entries))
+                assert _split(classes) == _split(generated), (M.name, entries)
 
 
 def test_induced_morphism_identity(z2):

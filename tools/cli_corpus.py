@@ -15,7 +15,9 @@ The corpus covers the zoo monoids with a few of their small acts: every
 skeleton bounds 1 and 3, `tensor`,
 `tossing`, `axioms emit|modelcheck|verify`, `replace compute|verify`,
 `enumerate` up to carrier size 4, plain and --distinct, `zoo`, malformed
-monoid and act files, and the budget guards.  The input files are written
+monoid and act files, and the budget guards.  `enumerate` also runs over
+null_adjoined(3), whose zero is labelled after x1 and x2, so that a row's
+square lands on a later row.  The input files are written
 to a temporary directory, which is also the working directory of the runs.
 Only the standard library and the package under src/ are used; the script
 takes no options and its output does not depend on the machine.
@@ -133,12 +135,16 @@ def corpus_for(index, M):
                  "--s", M.element_names[-1], "--json"])
 
     for side in ("left", "right"):
-        for size in ("2", "3", "4"):
-            base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
-            run(base)
-            run(base + ["--distinct"])
+        enumerate_runs(mfile, side)
         run(["enumerate", "--monoid", mfile, "--side", side, "--max-size", "3",
              "--limit", "4", "--json"])
+
+
+def enumerate_runs(mfile, side):
+    for size in ("2", "3", "4"):
+        base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
+        run(base)
+        run(base + ["--distinct"])
 
 
 def malformed(z2):
@@ -189,6 +195,9 @@ def main():
             monoids = [zoo.build(family, **params) for family, params in ZOO]
             for index, M in enumerate(monoids):
                 corpus_for(index, M)
+            null3 = write("null3.json", monoid_to_dict(zoo.build("null_adjoined", n=3)))
+            for side in ("left", "right"):
+                enumerate_runs(null3, side)
             run(["zoo", "families", "--json"])
             run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4", "--json"])
             run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"])
