@@ -29,6 +29,13 @@ class Act:
     carrier_names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]  # table[s][a]
 
+    def __hash__(self) -> int:
+        try:  # once per instance, as FiniteMonoid's
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.monoid, self.table)))
+            return self._hash
+
     @property
     def size(self) -> int:
         return len(self.carrier_names)

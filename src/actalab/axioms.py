@@ -12,19 +12,21 @@ Each sentence is compiled once, on first use, into a plan (`_Plan`) of row
 vectors: on a table, a term's values at every carrier element are one
 composition of the rows of its word.  `model_check` and `satisfies_all`
 evaluate plans; `model_check_table`, which walks the terms once per
-assignment, is kept as their oracle.
+assignment, is kept as their oracle.  `satisfies_all` keeps each recent
+table's vectors and plan verdicts, and every class's set shares one tuple
+of act laws, so a law is evaluated once per act.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 from operator import itemgetter, ne
 from typing import Iterator
 
 from .act import Act, enumerate_acts
-from .conditions import INTERPOLATION_CLASSES, _structures, as_pairs, check_condition
+from .conditions import INTERPOLATION_CLASSES, _structures, check_condition
 from .errors import SideMismatchError, ValidationError
 from .monoid import FiniteMonoid, left_cancellable_elements
 
@@ -81,8 +83,9 @@ def _eq(lhs: Term, rhs: Term) -> Equation:
     return Equation(lhs, rhs)
 
 
+@lru_cache(maxsize=8)
 def act_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
-    """The act laws as sentences: (∀x)(1x = x) and all (∀x)(s(t(x)) = (st)x)."""
+    """The act laws (∀x)(1x = x) and all (∀x)(s(t(x)) = (st)x), one tuple per monoid."""
     names = M.element_names
     out = [
         Sentence(
@@ -139,7 +142,7 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
     forall = tuple(dict.fromkeys(cls.trigger))
     sentences = list(act_axioms(M))
     provenance: dict[str, dict] = {}
-    for (s, t), (gens, _) in _structures(cid, M).items():
+    for (s, t), (gens, gen_pairs, _) in _structures(cid, M).items():
         params = [names[t]] if cls.diagonal else [names[s], names[t]]
         name = f"{cid}[{','.join(params)}]"
         trigger = _eq(_t(x, s), _t(y, t))
@@ -149,7 +152,7 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
             ]
             consequent = tuple(
                 tuple(_eq(side, _t("z", u)) for side, u in zip(sides, pair))
-                for pair in as_pairs(gens)
+                for pair in gen_pairs
             )
             sentences.append(
                 Sentence(name, forall, "implication", antecedent=(trigger,),
@@ -178,40 +181,25 @@ def model_check_table(
     M: FiniteMonoid, table, sentence: Sentence
 ) -> tuple[bool, dict | None]:
     """Evaluate a sentence on a raw action table (valid act or not)."""
-    k = len(table[0]) if table else 0
-    carrier = range(k)
+    carrier = range(len(table[0]) if table else 0)
+    names = sentence.forall + sentence.exists
+
+    def holds(equations, env) -> bool:
+        return all(_eval_term(table, e.lhs, env) == _eval_term(table, e.rhs, env)
+                   for e in equations)
+
     for assignment in product(carrier, repeat=len(sentence.forall)):
         env = dict(zip(sentence.forall, assignment))
-        if sentence.kind == "equation":
-            eq = sentence.equation
-            if _eval_term(table, eq.lhs, env) != _eval_term(table, eq.rhs, env):
-                return (False, env)
-        elif sentence.kind == "inequation":
-            eq = sentence.equation
-            if _eval_term(table, eq.lhs, env) == _eval_term(table, eq.rhs, env):
-                return (False, env)
+        if sentence.kind in ("equation", "inequation"):
+            ok = holds((sentence.equation,), env) == (sentence.kind == "equation")
+        elif not holds(sentence.antecedent, env):
+            continue
         else:
-            if any(
-                _eval_term(table, eq.lhs, env) != _eval_term(table, eq.rhs, env)
-                for eq in sentence.antecedent
-            ):
-                continue
-            satisfied = False
-            for zs in product(carrier, repeat=len(sentence.exists)):
-                env.update(zip(sentence.exists, zs))
-                for disjunct in sentence.consequent:
-                    if all(
-                        _eval_term(table, eq.lhs, env)
-                        == _eval_term(table, eq.rhs, env)
-                        for eq in disjunct
-                    ):
-                        satisfied = True
-                        break
-                if satisfied:
-                    break
-            if not satisfied:
-                env = {v: env[v] for v in sentence.forall}
-                return (False, env)
+            envs = (dict(zip(names, assignment + zs))
+                    for zs in product(carrier, repeat=len(sentence.exists)))
+            ok = any(holds(disjunct, e) for e in envs for disjunct in sentence.consequent)
+        if not ok:
+            return (False, env)
     return (True, None)
 
 
@@ -224,6 +212,7 @@ class _RowVectors(dict):
         super().__init__()
         self.table = table
         self.k = len(table[0]) if table else 0
+        self.verdicts: dict[_Plan, bool] = {}
 
     def __missing__(self, word):
         vec = tuple(range(self.k))
@@ -231,6 +220,22 @@ class _RowVectors(dict):
             vec = tuple(map(self.table[s].__getitem__, vec))
         self[word] = vec
         return vec
+
+    def holds(self, plan: _Plan) -> bool:
+        """Whether the plan's sentence holds on the table, evaluated once."""
+        if plan not in self.verdicts:
+            self.verdicts[plan] = plan.first_failure(self) is None
+        return self.verdicts[plan]
+
+
+# the vectors and verdicts of the most recent tables, for `satisfies_all`
+_row_vectors = lru_cache(maxsize=8)(_RowVectors)
+
+
+@lru_cache(maxsize=64)
+def _assignments(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every assignment of n variables over a carrier of size k, in product order."""
+    return tuple(product(range(k), repeat=n))
 
 
 def _values(vecs: _RowVectors, terms, assignments: list) -> Iterator[tuple]:
@@ -316,11 +321,10 @@ class _Plan:
         sentence fails on the table of `vecs`; None when it holds."""
         if self.whole is not None and self._holds_everywhere(vecs):
             return None
-        k = vecs.k
-        pending = _satisfying(vecs, self.antecedent, list(product(range(k), repeat=self.n)))
+        pending = _satisfying(vecs, self.antecedent, _assignments(vecs.k, self.n))
         if not pending:
             return None
-        zss = list(product(range(k), repeat=self.m))
+        zss = _assignments(vecs.k, self.m)
         for (tests, key), disjuncts in self.groups.items():
             reach = set()
             for filt, eterms in disjuncts:
@@ -357,8 +361,8 @@ def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
 
 def satisfies_all(B: Act, sentences) -> bool:
     _require_left(B)
-    vecs = _RowVectors(B.table)
-    return all(s._plan.first_failure(vecs) is None for s in sentences)
+    vecs = _row_vectors(B.table)
+    return all(vecs.holds(s._plan) for s in sentences)
 
 
 @dataclass
@@ -426,12 +430,9 @@ def sentence_to_text(M: FiniteMonoid, sentence: Sentence) -> str:
         rel = "≠" if sentence.kind == "inequation" else "="
         return f"{prefix}({conjunction((sentence.equation,), rel)})"
     ante = conjunction(sentence.antecedent)
-    disjuncts = []
-    for conj in sentence.consequent:
-        body = conjunction(conj)
-        disjuncts.append(f"({body})" if len(conj) > 1 else body)
-    cons = " ∨ ".join(disjuncts)
+    cons = " ∨ ".join(
+        f"({conjunction(conj)})" if len(conj) > 1 else conjunction(conj)
+        for conj in sentence.consequent
+    )
     ex = "".join(f"(∃{v})" for v in sentence.exists)
-    if ex:
-        return f"{prefix}({ante} → {ex}({cons}))"
-    return f"{prefix}({ante} → {cons})"
+    return f"{prefix}({ante} → {ex}({cons}))" if ex else f"{prefix}({ante} → {cons})"

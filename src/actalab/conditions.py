@@ -90,22 +90,18 @@ class InterpolationClass:
             return [(t, t) for t in M.elements()]
         return [(s, t) for s in M.elements() for t in M.elements()]
 
-    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, int, tuple]]:
-        """Trigger instances (b, b', legs) with s·b = t·b', where b' = b when
-        y is x.  The legs are what an interpolant must reach: (b, b'), or
-        (s·b, s·b) for a scaled class."""
-        srow, trow = B.table[s], B.table[t]
-        carrier = B.carrier()
+    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, tuple, tuple]]:
+        """Trigger instances s·b = t·b', where b' = b when y is x, as
+        (b, b's, legs) in order of b: the b' in carrier order whose instances
+        share the legs an interpolant must reach, which are (b, b') for one
+        b', or (s·b, s·b) for a scaled class and all of t's fibre over s·b."""
+        srow = B.table[s]
         if self.trigger[0] == self.trigger[-1]:
-            return [(b, b, (b, b)) for b in carrier if srow[b] == trow[b]]
+            return [(b, (b,), (b, b)) for b, v in enumerate(srow) if v == B.table[t][b]]
+        fibre = _fibre(B.table[t])
         if self.scaled:
-            return [
-                (b, b2, (v, v)) for b in carrier for b2 in carrier
-                if (v := srow[b]) == trow[b2]
-            ]
-        return [
-            (b, b2, (b, b2)) for b in carrier for b2 in carrier if srow[b] == trow[b2]
-        ]
+            return [(b, fibre[v], (v, v)) for b, v in enumerate(srow) if v in fibre]
+        return [(b, (b2,), (b, b2)) for b, v in enumerate(srow) for b2 in fibre.get(v, ())]
 
 
 # The classes that the deciders, the sentence schemas and the replacement
@@ -136,16 +132,24 @@ def as_pairs(items) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=64)
 def _structures(cid: str, M: FiniteMonoid) -> dict:
-    """The class table (s, t) -> (minimum generators, all elements as sorted
-    pairs), in parameter order, that deciders, schemas and replacement read
-    for every act over M; kept for the most recent monoids."""
+    """The class table (s, t) -> (minimum generators, the same as pairs, all
+    elements as sorted pairs), in parameter order, read by deciders, schemas
+    and replacement for every act over M; kept for the most recent monoids."""
     cls = INTERPOLATION_CLASSES[cid]
     out = {}
     for s, t in cls.params(M):
         S = cls.structure(M, s, t)
         elements = S.pairs if isinstance(S, PairSubact) else S.members
-        out[s, t] = (min_generating_set(S), as_pairs(sorted(elements)))
+        gens = min_generating_set(S)
+        out[s, t] = (gens, as_pairs(gens), as_pairs(sorted(elements)))
     return out
+
+
+@lru_cache(maxsize=64)
+def _fibre(row: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """A recent act row indexed by value: value -> the carrier elements that
+    the row takes to it, in carrier order."""
+    return {v: tuple(b for b, w in enumerate(row) if w == v) for v in dict.fromkeys(row)}
 
 
 def _require_left(B: Act):
@@ -175,16 +179,14 @@ def _interpolate(B: Act, cid: str, want: bool) -> ConditionReport:
     cls = INTERPOLATION_CLASSES[cid]
     rows = B.table
     found = [] if want else None
-    for (s, t), (gens, pairs) in _structures(cid, B.monoid).items():
-        orbit = set()
-        for u, v in as_pairs(gens):
-            orbit.update(zip(rows[u], rows[v]))
-        for b, b2, legs in cls.instances(B, s, t):
+    for (s, t), (_, gen_pairs, pairs) in _structures(cid, B.monoid).items():
+        orbit = {legs for u, v in gen_pairs for legs in zip(rows[u], rows[v])}
+        for b, b2s, legs in cls.instances(B, s, t):
             if legs not in orbit:
-                return ConditionReport(cid, "fails", _instance(B, cls, s, t, b, b2))
+                return ConditionReport(cid, "fails", _instance(B, cls, s, t, b, b2s[0]))
             if found is not None:
                 hit = _interpolant(B, cls, pairs, legs)
-                found.append(_instance(B, cls, s, t, b, b2, hit))
+                found += (_instance(B, cls, s, t, b, b2, hit) for b2 in b2s)
     details = {"instances": found} if found is not None else None
     return ConditionReport(cid, "holds", None, details)
 

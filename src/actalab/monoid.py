@@ -28,6 +28,15 @@ class FiniteMonoid:
     mul: tuple[tuple[int, ...], ...]
     identity: int
 
+    def __hash__(self) -> int:
+        # once per instance, set as the frozen fields are: a write to
+        # __dict__, as cached_property makes, would slow every later read
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.mul, self.identity)))
+            return self._hash
+
     @property
     def size(self) -> int:
         return len(self.element_names)

@@ -54,10 +54,9 @@ def replacement_skeletons(
     if cls.diagonal and s != t:
         raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    gens = _structures(cid, M)[s, t][0]
+    gens, gen_pairs, _ = _structures(cid, M)[s, t]
     sks = tuple(
-        Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v))
-        for u, v in as_pairs(gens)
+        Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v)) for u, v in gen_pairs
     )
     return ReplacementSet(cid, s, t, Skeleton((e, s, t, e)), sks, gens)
 
@@ -116,5 +115,6 @@ def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
         {"a": B.label(a), "b": B.label(b),
          "skeleton": list(next(lab for lab, o in zip(labels, orbits) if legs in o)),
          "tossing_valid": True}
-        for a, b, legs in cls.instances(B, rset.s, rset.t)
+        for a, bs, legs in cls.instances(B, rset.s, rset.t)
+        for b in bs
     ]

@@ -23,7 +23,7 @@ from actalab.act import (
     find_root,
     regular_act,
 )
-from actalab.conditions import ConditionReport
+from actalab.conditions import INTERPOLATION_CLASSES, ConditionReport
 from actalab.errors import ValidationError
 from actalab.monoid import FiniteMonoid, PairSubact, RightIdeal, principal_right_ideal
 from actalab.tensor import (
@@ -515,6 +515,22 @@ def condition_holds_brute(B, cond) -> bool:
             if condition_violated(B, cond, dict(zip(params + values, ps + vs))):
                 return False
     return True
+
+
+def first_violation_oracle(B, cid) -> dict:
+    """The report of `check_condition(B, cid).to_dict()` found by brute
+    force: the first parameter in the class's `params` order, then the first
+    (b, b') in carrier order (b' = b for E and EP), whose instance
+    condition_violated re-checks as a violation."""
+    M = B.monoid
+    params, values = INSTANCE_KEYS[cid]
+    for s, t in INTERPOLATION_CLASSES[cid].params(M):
+        at = dict(zip(params, (M.label(s), M.label(t))))
+        for vs in product(B.carrier_names, repeat=len(values)):
+            witness = {**at, **dict(zip(values, vs))}
+            if condition_violated(B, cid, witness):
+                return {"condition": cid, "verdict": "fails", "witness": witness}
+    return {"condition": cid, "verdict": "holds"}
 
 
 def replacement_shape_ok(rset) -> bool:

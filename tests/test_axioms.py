@@ -25,10 +25,43 @@ from actalab.monoid import min_generating_set
 
 def test_act_axioms_present_in_every_set(zoo_monoids):
     for M in zoo_monoids:
+        laws = act_axioms(M)
         for cls in ("P", "E", "EP", "W", "PWP"):
-            names = [s.name for s in al.emit_axioms(M, cls).sentences]
+            sentences = al.emit_axioms(M, cls).sentences
+            names = [s.name for s in sentences]
             assert "unit" in names
             assert any(n.startswith("assoc[") for n in names)
+            # every set holds the same law objects, so their plans are shared
+            assert all(a is b for a, b in zip(sentences, laws))
+
+
+def test_shared_verdicts_stay_with_their_table(null2, left_zero):
+    """`satisfies_all` keeps each plan's verdict with the table it ran on.
+    Over acts whose tables alternate, and over one table that is an act of
+    two monoids whose sentences carry the same names, every answer is the
+    one a fresh evaluation of each sentence gives."""
+    classes = ("P", "E", "EP", "W", "PWP")
+
+    def check(run):
+        answers = set()
+        for B in run:
+            for cls in classes:
+                sentences = al.emit_axioms(B.monoid, cls).sentences
+                got = satisfies_all(B, sentences)
+                assert got == all(check_table(B.table, s)[0] for s in sentences), (
+                    B.monoid.name, B.table, cls)
+                answers.add((B.monoid.name, cls, got))
+        return answers
+
+    acts = list(al.enumerate_acts(null2, "left", 3))
+    answers = check([B for pair in zip(acts, reversed(acts)) for B in pair])
+    assert {("null_adjoined(2)", "P", True), ("null_adjoined(2)", "P", False)} <= answers
+    z3 = al.monoid_from_indices("z3", left_zero.element_names,
+                                [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    points = [al.validate_act(M, "left", ["o"], [[0]] * 3) for M in (z3, left_zero)]
+    assert points[0].table == points[1].table
+    answers = check(points * 3)
+    assert {("z3", "P", True), (left_zero.name, "P", False)} <= answers
 
 
 def test_pwp_schema_z2(z2):

@@ -231,6 +231,41 @@ def test_zoo_build_and_report(tmp_path, capsys):
     assert captured.out == "" and "--range" in captured.err
 
 
+def test_zoo_guards(monkeypatch, capsys):
+    """`zoo build` estimates its |S|^3 associativity check and `zoo report`
+    the sum of n^4 over its range, each before any work is done."""
+
+    def run(argv):
+        code = run_command(argv)
+        return code, capsys.readouterr()
+
+    build = ["zoo", "build", "--family", "null_adjoined", "--n", "3"]
+    semilattice = ["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"]
+    report = ["zoo", "report", "--family", "null_adjoined", "--range", "2..4"]
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "63")
+    code, captured = run(build)
+    assert code == 2 and captured.out == ""
+    assert "|S|^3 = 64 exceeds ACTALAB_MAX_CELLS = 63" in captured.err
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "124")
+    assert run(build)[0] == 0
+    code, captured = run(semilattice)
+    assert code == 2 and "|S|^3 = 125 exceeds" in captured.err
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "352")
+    code, captured = run(report)
+    assert code == 2 and captured.out == ""
+    assert "sum(n^4) = 353 exceeds ACTALAB_MAX_CELLS = 352" in captured.err
+    monkeypatch.setenv("ACTALAB_MAX_CELLS", "353")
+    assert run(report)[0] == 0
+    monkeypatch.delenv("ACTALAB_MAX_CELLS")
+    # a range far too long to walk is estimated in closed form
+    code, captured = run(report[:-1] + ["1..1000000000"])
+    big = 10**9
+    expected = (6 * big**5 + 15 * big**4 + 10 * big**3 - big) // 30
+    assert code == 2 and f"sum(n^4) = {expected} exceeds" in captured.err
+    code, captured = run(report[:-2] + ["--range=-2..1"])
+    assert code == 2 and "n must be an integer >= 1, got -2" in captured.err
+
+
 def test_enumerate_jsonl(z2_file, capsys):
     assert run_command(
         ["enumerate", "--monoid", z2_file, "--side", "left",

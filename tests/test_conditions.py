@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import actalab as al
@@ -8,6 +11,7 @@ from helpers import (
     condition_holds_brute,
     condition_violated,
     elementary_tensor,
+    first_violation_oracle,
     flat_bounded_oracle,
     is_right_closed,
     restrict_act,
@@ -105,6 +109,44 @@ def test_holds_verdicts_match_instance_oracle(zoo_monoids, left_zero):
                 assert al.check_condition(B, cond).holds == condition_holds_brute(
                     B, cond
                 ), (M.name, cond, B.table)
+
+
+def test_first_violations_match_oracle(zoo_monoids, left_zero):
+    """Each class's report, verdict and first witness, is the one a brute
+    scan of parameters and then instances in carrier order finds."""
+    for M in [*zoo_monoids, left_zero]:
+        for B in al.enumerate_acts(M, "left", 4):
+            for cond in ("P", "E", "EP", "W", "PWP"):
+                assert al.check_condition(B, cond).to_dict() == first_violation_oracle(
+                    B, cond
+                ), (M.name, cond, B.table)
+
+
+# sha256 of check_condition(B, cond, want_witnesses=True).to_dict() as JSON
+# with sorted keys, and the number of instances, for one act of natmin3 per
+# class; recorded from the decider that scanned every pair (b, b') of B
+SUCCESS_DETAILS = {
+    "P": ([[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 2]], 56,
+          "33052b2d6b481c5e62f69497cb6bd3c276d5b9fd79be86a0ae360107ed5e15e7"),
+    "E": ([[0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]], 48,
+          "87e08422c3b6e0db13dafe5cf672dc0535ebba6f88650a2a43ab96f8113aaf04"),
+    "EP": ([[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 2]], 32,
+           "51c04472570e47d004296ffe64c341e964bef64c58cf97c709489bbede6eb686"),
+    "W": ([[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 2]], 102,
+          "1aebedcc4e0a583d0ec2686a06a65ba4fa4b2905bc96de28b226711defb74740"),
+    "PWP": ([[0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 2]], 26,
+            "3cbd61d6b6889f5da0ee39279522de95ee9f9de793ff560f2aaf124d9af42597"),
+}
+
+
+@pytest.mark.parametrize("cond", sorted(SUCCESS_DETAILS))
+def test_success_details_are_unchanged(natmin3, cond):
+    table, count, digest = SUCCESS_DETAILS[cond]
+    B = al.validate_act(natmin3, "left", ["a", "b", "c"], table)
+    report = al.check_condition(B, cond, want_witnesses=True).to_dict()
+    assert len(report["details"]["instances"]) == count
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sf_is_p_and_e(null2):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import actalab as al
+from actalab.conditions import _structures
 from actalab.errors import MonoidMismatchError, ValidationError
 from actalab.serialize import (
     act_from_dict,
@@ -31,6 +32,21 @@ def test_act_round_trip(zoo_monoids):
             data = act_to_dict(act)
             again = act_from_dict(json.loads(json.dumps(data)), M)
             assert again == act
+
+
+def test_read_back_monoids_and_acts_hash_as_built(zoo_monoids):
+    """Hashes are kept per instance, so a copy read back from JSON must still
+    hash and compare equal to the object it was written from, and find the
+    entries that the built object left in the caches keyed on it."""
+    for M in zoo_monoids:
+        again = monoid_from_dict(json.loads(dump_json(monoid_to_dict(M))))
+        assert again is not M and again == M and hash(again) == hash(M)
+        assert _structures("P", again) is _structures("P", M)
+        for act in al.enumerate_acts(M, "left", 2):
+            back = act_from_dict(json.loads(dump_json(act_to_dict(act))), again)
+            assert back.monoid is again
+            assert back == act and hash(back) == hash(act)
+            assert {act: 1}[back] == 1
 
 
 def test_act_monoid_reference_checked(z2, z3):

@@ -13,9 +13,11 @@ exit code is printed with "1" and the exception's type, as the installed
 The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
 skeleton bounds 1 and 3, `tensor`,
-`tossing`, `axioms emit|modelcheck|verify`, `replace compute|verify`,
+`tossing`, `axioms emit|modelcheck|verify` (verify also at carrier size
+4 over natmin3 and semilattice22), `replace compute|verify`,
 `enumerate` up to carrier size 4, plain and --distinct, `zoo`, malformed
-monoid and act files, and the budget guards.  `enumerate` also runs over
+monoid and act files, and the budget guards, `zoo build` and `zoo report`
+among them.  `enumerate` also runs over
 null_adjoined(3), whose zero is labelled after x1 and x2, so that a row's
 square lands on a later row.  The input files are written
 to a temporary directory, which is also the working directory of the runs.
@@ -185,6 +187,13 @@ def malformed(z2):
     run(flat + ["--flat-bound", "1"], env={"ACTALAB_MAX_CELLS": "200"})
     run(["enumerate", "--monoid", mfile, "--side", "left", "--max-size", "9"])
     run(["tensor", "--monoid", mfile, "--right-act", afile, "--left-act", afile])
+    # |S|^3 = 64 and 125 for the associativity check, 2^4 + 3^4 + 4^4 = 353
+    run(["zoo", "build", "--family", "null_adjoined", "--n", "3"],
+        env={"ACTALAB_MAX_CELLS": "63"})
+    run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"],
+        env={"ACTALAB_MAX_CELLS": "124"})
+    run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4"],
+        env={"ACTALAB_MAX_CELLS": "352"})
 
 
 def main():
@@ -198,6 +207,10 @@ def main():
             null3 = write("null3.json", monoid_to_dict(zoo.build("null_adjoined", n=3)))
             for side in ("left", "right"):
                 enumerate_runs(null3, side)
+            for index in (5, 6):  # semilattice22 and natmin3
+                for cls in CLASSES:
+                    run(["axioms", "verify", "--class", cls, "--monoid", f"m{index}.json",
+                         "--max-size", "4", "--json"])
             run(["zoo", "families", "--json"])
             run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4", "--json"])
             run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"])
