@@ -22,6 +22,7 @@ from .axioms import (
     sentence_to_text,
     torsion_free_axioms,
     verify_axiomatisation,
+    verify_axiomatisations,
 )
 from .conditions import (
     ConditionReport,

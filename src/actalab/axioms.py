@@ -14,7 +14,8 @@ composition of the rows of its word.  `model_check` and `satisfies_all`
 evaluate plans; `model_check_table`, which walks the terms once per
 assignment, is kept as their oracle.  `satisfies_all` keeps each recent
 table's vectors and plan verdicts, and every class's set shares one tuple
-of act laws, so a law is evaluated once per act.
+of act laws, so a caller that checks one act against several classes in a
+row, as `verify_axiomatisations` does, evaluates each law once per act.
 """
 
 from __future__ import annotations
@@ -181,25 +182,40 @@ def model_check_table(
     M: FiniteMonoid, table, sentence: Sentence
 ) -> tuple[bool, dict | None]:
     """Evaluate a sentence on a raw action table (valid act or not)."""
-    carrier = range(len(table[0]) if table else 0)
-    names = sentence.forall + sentence.exists
-
-    def holds(equations, env) -> bool:
-        return all(_eval_term(table, e.lhs, env) == _eval_term(table, e.rhs, env)
-                   for e in equations)
-
+    k = len(table[0]) if table else 0
+    carrier = range(k)
     for assignment in product(carrier, repeat=len(sentence.forall)):
         env = dict(zip(sentence.forall, assignment))
-        if sentence.kind in ("equation", "inequation"):
-            ok = holds((sentence.equation,), env) == (sentence.kind == "equation")
-        elif not holds(sentence.antecedent, env):
-            continue
+        if sentence.kind == "equation":
+            eq = sentence.equation
+            if _eval_term(table, eq.lhs, env) != _eval_term(table, eq.rhs, env):
+                return (False, env)
+        elif sentence.kind == "inequation":
+            eq = sentence.equation
+            if _eval_term(table, eq.lhs, env) == _eval_term(table, eq.rhs, env):
+                return (False, env)
         else:
-            envs = (dict(zip(names, assignment + zs))
-                    for zs in product(carrier, repeat=len(sentence.exists)))
-            ok = any(holds(disjunct, e) for e in envs for disjunct in sentence.consequent)
-        if not ok:
-            return (False, env)
+            if any(
+                _eval_term(table, eq.lhs, env) != _eval_term(table, eq.rhs, env)
+                for eq in sentence.antecedent
+            ):
+                continue
+            satisfied = False
+            for zs in product(carrier, repeat=len(sentence.exists)):
+                env.update(zip(sentence.exists, zs))
+                for disjunct in sentence.consequent:
+                    if all(
+                        _eval_term(table, eq.lhs, env)
+                        == _eval_term(table, eq.rhs, env)
+                        for eq in disjunct
+                    ):
+                        satisfied = True
+                        break
+                if satisfied:
+                    break
+            if not satisfied:
+                env = {v: env[v] for v in sentence.forall}
+                return (False, env)
     return (True, None)
 
 
@@ -360,6 +376,8 @@ def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
 
 
 def satisfies_all(B: Act, sentences) -> bool:
+    """Whether B satisfies every sentence.  Verdicts are kept for the 8 most
+    recent tables, which pays off when one act meets several sets in a row."""
     _require_left(B)
     vecs = _row_vectors(B.table)
     return all(vecs.holds(s._plan) for s in sentences)
@@ -388,27 +406,36 @@ class AxiomCheckReport:
         }
 
 
+def verify_axiomatisations(
+    M: FiniteMonoid, class_ids, max_act_size: int
+) -> list[AxiomCheckReport]:
+    """Check "satisfies the schema ⇔ satisfies the condition" on every left
+    act up to the size bound, for each class; any divergence is a hard
+    failure.  The acts are enumerated once and each is checked against every
+    class in turn, so the classes share its vectors and act-law verdicts."""
+    axsets = [emit_axioms(M, c) for c in class_ids]
+    reports = [AxiomCheckReport(ax.class_id, M.name, max_act_size, 0, []) for ax in axsets]
+    for B in enumerate_acts(M, "left", max_act_size):
+        for axset, report in zip(axsets, reports):
+            report.acts_checked += 1
+            semantic = check_condition(B, axset.class_id).holds
+            syntactic = satisfies_all(B, axset.sentences)
+            if semantic != syntactic:
+                report.divergences.append(
+                    {
+                        "act_table": [list(r) for r in B.table],
+                        "condition": semantic,
+                        "models_sentences": syntactic,
+                    }
+                )
+    return reports
+
+
 def verify_axiomatisation(
     M: FiniteMonoid, class_id: str, max_act_size: int
 ) -> AxiomCheckReport:
-    """Check "satisfies the schema ⇔ satisfies the condition" on every left
-    act up to the size bound; any divergence is a hard failure."""
-    axset = emit_axioms(M, class_id)
-    checked = 0
-    divergences = []
-    for B in enumerate_acts(M, "left", max_act_size):
-        checked += 1
-        semantic = check_condition(B, axset.class_id).holds
-        syntactic = satisfies_all(B, axset.sentences)
-        if semantic != syntactic:
-            divergences.append(
-                {
-                    "act_table": [list(r) for r in B.table],
-                    "condition": semantic,
-                    "models_sentences": syntactic,
-                }
-            )
-    return AxiomCheckReport(axset.class_id, M.name, max_act_size, checked, divergences)
+    """`verify_axiomatisations` for one class."""
+    return verify_axiomatisations(M, (class_id,), max_act_size)[0]
 
 
 def term_to_text(M: FiniteMonoid, term: Term) -> str:
@@ -430,9 +457,12 @@ def sentence_to_text(M: FiniteMonoid, sentence: Sentence) -> str:
         rel = "≠" if sentence.kind == "inequation" else "="
         return f"{prefix}({conjunction((sentence.equation,), rel)})"
     ante = conjunction(sentence.antecedent)
-    cons = " ∨ ".join(
-        f"({conjunction(conj)})" if len(conj) > 1 else conjunction(conj)
-        for conj in sentence.consequent
-    )
+    disjuncts = []
+    for conj in sentence.consequent:
+        body = conjunction(conj)
+        disjuncts.append(f"({body})" if len(conj) > 1 else body)
+    cons = " ∨ ".join(disjuncts)
     ex = "".join(f"(∃{v})" for v in sentence.exists)
-    return f"{prefix}({ante} → {ex}({cons}))" if ex else f"{prefix}({ante} → {cons})"
+    if ex:
+        return f"{prefix}({ante} → {ex}({cons}))"
+    return f"{prefix}({ante} → {cons})"

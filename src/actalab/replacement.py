@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .act import Act
-from .conditions import INTERPOLATION_CLASSES, _structures, as_pairs, check_condition
+from .conditions import INTERPOLATION_CLASSES, _structures, check_condition
 from .errors import BadParamsError, ElementNotFoundError, SideMismatchError, ValidationError
 from .monoid import FiniteMonoid
 from .tensor import Skeleton
@@ -109,7 +109,8 @@ def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
     decider has put every instance's legs in the union of these orbits."""
     M, rows = B.monoid, B.table
     cls = INTERPOLATION_CLASSES[rset.class_id]
-    orbits = [set(zip(rows[u], rows[v])) for u, v in as_pairs(rset.generators)]
+    gen_pairs = _structures(rset.class_id, M)[rset.s, rset.t][1]
+    orbits = [set(zip(rows[u], rows[v])) for u, v in gen_pairs]
     labels = [sk.labels(M) for sk in rset.skeletons]
     return [
         {"a": B.label(a), "b": B.label(b),

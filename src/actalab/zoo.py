@@ -54,20 +54,20 @@ def _cyclic_names(prefix_one: str, prefix: str, n: int) -> list[str]:
 
 def build(family: str, **params) -> FiniteMonoid:
     """Instantiate a family member; every table goes through full validation."""
+    size = family_size(family, **params)
     if family == "cyclic_group":
-        n = _need_size(params, "n")
+        n = params["n"]
         names = _cyclic_names("1", "g", n)
         mul = [[(i + j) % n for j in range(n)] for i in range(n)]
         return monoid_from_indices(f"cyclic_group({n})", names, mul, 0)
     if family == "inverse_omega_chain":
-        n = _need_size(params, "n", minimum=0)
+        n = params["n"]
         names = [f"e{i}" for i in range(n + 1)]
         mul = [[max(i, j) for j in range(n + 1)] for i in range(n + 1)]
         return monoid_from_indices(f"inverse_omega_chain({n})", names, mul, 0)
     if family == "null_adjoined":
-        n = _need_size(params, "n")
+        n = params["n"]
         names = ["eps"] + [f"x{i}" for i in range(1, n)] + ["0"]
-        size = n + 1
         zero = size - 1
         mul = [[0] * size for _ in range(size)]
         for i in range(size):
@@ -78,10 +78,8 @@ def build(family: str, **params) -> FiniteMonoid:
                 mul[i][j] = zero
         return monoid_from_indices(f"null_adjoined({n})", names, mul, 0)
     if family == "semilattice_of_groups":
-        n1 = _need_size(params, "n1")
-        n0 = _need_size(params, "n0")
+        n1, n0 = params["n1"], params["n0"]
         names = _cyclic_names("e", "a", n1) + _cyclic_names("f", "b", n0)
-        size = n1 + n0
         mul = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(size):
@@ -96,9 +94,8 @@ def build(family: str, **params) -> FiniteMonoid:
             f"semilattice_of_groups({n1},{n0})", names, mul, 0
         )
     if family == "nat_min_adjoined":
-        n = _need_size(params, "n")
+        n = params["n"]
         names = [str(i) for i in range(1, n + 1)] + ["eps"]
-        size = n + 1
         eps = size - 1
         mul = [[0] * size for _ in range(size)]
         for i in range(size):
@@ -108,7 +105,18 @@ def build(family: str, **params) -> FiniteMonoid:
             for j in range(n):
                 mul[i][j] = min(i, j)
         return monoid_from_indices(f"nat_min_adjoined({n})", names, mul, eps)
-    raise BadParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
+    raise AssertionError(family)  # family_size knows every family
+
+
+def family_size(family: str, **params) -> int:
+    """|S| of the member that `build` makes, after checking its parameters."""
+    if family == "semilattice_of_groups":
+        return _need_size(params, "n1") + _need_size(params, "n0")
+    if family not in FAMILIES:
+        raise BadParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
+    n = _need_size(params, "n", minimum=0 if family == "inverse_omega_chain" else 1)
+    # the groups have n elements; the other families adjoin one to n
+    return n if family == "cyclic_group" else n + 1
 
 
 def _need_size(params: dict, key: str, minimum: int = 1) -> int:

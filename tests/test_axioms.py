@@ -165,6 +165,16 @@ def test_verify_axiomatisation_trivial(trivial):
         assert report.ok and report.acts_checked == 3
 
 
+def test_verify_axiomatisations_match_each_class(null2, natmin3):
+    """One act-major walk over all classes reports what one walk per class does."""
+    classes = ("P", "E", "EP", "W", "PWP")
+    for M in (null2, natmin3):
+        reports = al.verify_axiomatisations(M, classes, 3)
+        assert [r.to_dict() for r in reports] == [
+            al.verify_axiomatisation(M, cls, 3).to_dict() for cls in classes
+        ]
+
+
 def test_verify_axiomatisation_z2_w(z2):
     report = al.verify_axiomatisation(z2, "W", 4)
     assert report.ok and report.acts_checked == 17

@@ -183,11 +183,25 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
         assert key in captured.err and name in captured.err, captured.err
 
 
-def test_axioms_verify(z2_file):
+def test_axioms_verify(z2_file, capsys):
     assert run_command(
         ["axioms", "verify", "--class", "pwp", "--monoid", z2_file,
          "--max-size", "3"]
     ) == 0
+    capsys.readouterr()
+    # --class all walks the acts once and reports each class as --class does
+    argv = ["axioms", "verify", "--monoid", z2_file, "--max-size", "3"]
+    assert run_command(argv + ["--class", "all"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert run_command(argv + ["--class", "all", "--json"]) == 0
+    every = json.loads(capsys.readouterr().out)
+    singles = []
+    for cls in ("p", "e", "ep", "w", "pwp"):
+        assert run_command(argv + ["--class", cls]) == 0
+        singles.append(capsys.readouterr().out.strip())
+        assert run_command(argv + ["--class", cls, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == every[len(singles) - 1]
+    assert text == singles
 
 
 def test_replace_commands(z2_file, z2_acts, capsys):
@@ -262,8 +276,11 @@ def test_zoo_guards(monkeypatch, capsys):
     big = 10**9
     expected = (6 * big**5 + 15 * big**4 + 10 * big**3 - big) // 30
     assert code == 2 and f"sum(n^4) = {expected} exceeds" in captured.err
-    code, captured = run(report[:-2] + ["--range=-2..1"])
-    assert code == 2 and "n must be an integer >= 1, got -2" in captured.err
+    # members below n = 1 add nothing to the estimate, so a long range of
+    # them still reaches the family's own diagnostic
+    for lo in ("-2", "-100000"):
+        code, captured = run(report[:-2] + [f"--range={lo}..1"])
+        assert code == 2 and f"n must be an integer >= 1, got {lo}" in captured.err
 
 
 def test_enumerate_jsonl(z2_file, capsys):

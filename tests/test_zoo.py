@@ -3,7 +3,7 @@ import pytest
 import actalab as al
 from actalab.errors import BadParamsError
 from actalab.monoid import generated_pair_subact
-from actalab.zoo import EXCLUSIONS, FAMILIES, designated_pair, family_report
+from actalab.zoo import EXCLUSIONS, FAMILIES, designated_pair, family_report, family_size
 from helpers import brute_min_generators
 
 
@@ -14,6 +14,18 @@ def test_build_all_families_validate():
     al.build("null_adjoined", n=4)
     al.build("semilattice_of_groups", n1=3, n0=2)
     al.build("nat_min_adjoined", n=5)
+
+
+def test_family_size_is_the_built_size():
+    for family, params in (
+        ("cyclic_group", {"n": 4}),
+        ("inverse_omega_chain", {"n": 0}),
+        ("inverse_omega_chain", {"n": 3}),
+        ("null_adjoined", {"n": 4}),
+        ("semilattice_of_groups", {"n1": 3, "n0": 2}),
+        ("nat_min_adjoined", {"n": 5}),
+    ):
+        assert family_size(family, **params) == al.build(family, **params).size
 
 
 def test_cyclic_group_2_is_z2(z2):

@@ -13,8 +13,9 @@ exit code is printed with "1" and the exception's type, as the installed
 The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
 skeleton bounds 1 and 3, `tensor`,
-`tossing`, `axioms emit|modelcheck|verify` (verify also at carrier size
-4 over natmin3 and semilattice22), `replace compute|verify`,
+`tossing`, `axioms emit|modelcheck|verify` (verify per class and with
+--class all, and per class at carrier size 4 over natmin3 and
+semilattice22), `replace compute|verify`,
 `enumerate` up to carrier size 4, plain and --distinct, `zoo`, malformed
 monoid and act files, and the budget guards, `zoo build` and `zoo report`
 among them.  `enumerate` also runs over
@@ -135,6 +136,9 @@ def corpus_for(index, M):
             run(["replace", "verify", "--class", cls, "--monoid", mfile, "--act", f])
             run(["replace", "verify", "--class", cls, "--monoid", mfile, "--act", f,
                  "--s", M.element_names[-1], "--json"])
+    run(["axioms", "verify", "--class", "all", "--monoid", mfile, "--max-size", "3"])
+    run(["axioms", "verify", "--class", "all", "--monoid", mfile, "--max-size", "3",
+         "--json"])
 
     for side in ("left", "right"):
         enumerate_runs(mfile, side)
@@ -194,6 +198,8 @@ def malformed(z2):
         env={"ACTALAB_MAX_CELLS": "124"})
     run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4"],
         env={"ACTALAB_MAX_CELLS": "352"})
+    # members below n = 1 add nothing to the estimate
+    run(["zoo", "report", "--family", "null_adjoined", "--range=-100000..1"])
 
 
 def main():
