@@ -12,10 +12,10 @@ Each sentence is compiled once, on first use, into a plan (`_Plan`) of row
 vectors: on a table, a term's values at every carrier element are one
 composition of the rows of its word.  `model_check` and `satisfies_all`
 evaluate plans; `model_check_table`, which walks the terms once per
-assignment, is kept as their oracle.  `satisfies_all` keeps each recent
-table's vectors and plan verdicts, and every class's set shares one tuple
-of act laws, so a caller that checks one act against several classes in a
-row, as `verify_axiomatisations` does, evaluates each law once per act.
+assignment, is kept as their oracle.  A plan reads only the rows of its
+letters, so `satisfies_all` keeps its recent verdicts under the carrier
+size and those rows: acts that share them, in whatever order they come,
+share the verdict, and every class's set shares one tuple of act laws.
 """
 
 from __future__ import annotations
@@ -220,32 +220,20 @@ def model_check_table(
 
 
 class _RowVectors(dict):
-    """The row vectors of one table, keyed by word and built on demand: entry
-    x of a word's vector is the value of its term at carrier element x.
-    Rows may be lists or tuples; vectors are always tuples."""
+    """The row vectors of a table over a carrier of size k, keyed by word and
+    built on demand from `rows`, which maps each letter to its row: entry x of
+    a word's vector is the value of its term at carrier element x.  Rows may
+    be lists or tuples; vectors are always tuples, a tuple row is its own."""
 
-    def __init__(self, table):
-        super().__init__()
-        self.table = table
-        self.k = len(table[0]) if table else 0
-        self.verdicts: dict[_Plan, bool] = {}
+    def __init__(self, rows, k: int):
+        self.rows, self.k = rows, k
 
     def __missing__(self, word):
-        vec = tuple(range(self.k))
-        for s in reversed(word):
-            vec = tuple(map(self.table[s].__getitem__, vec))
+        vec = tuple(self.rows[word[-1]] if word else range(self.k))
+        for s in reversed(word[:-1]):
+            vec = tuple(map(self.rows[s].__getitem__, vec))
         self[word] = vec
         return vec
-
-    def holds(self, plan: _Plan) -> bool:
-        """Whether the plan's sentence holds on the table, evaluated once."""
-        if plan not in self.verdicts:
-            self.verdicts[plan] = plan.first_failure(self) is None
-        return self.verdicts[plan]
-
-
-# the vectors and verdicts of the most recent tables, for `satisfies_all`
-_row_vectors = lru_cache(maxsize=8)(_RowVectors)
 
 
 @lru_cache(maxsize=64)
@@ -297,12 +285,14 @@ class _Plan:
             ante, exists, cons = ((body,), (), ()) if negated else ((), (), ((body,),))
         self.m = len(exists)
         forall_pos = {v: i for i, v in enumerate(sentence.forall)}
+        letters = set()  # the monoid elements whose rows the words read
 
         def term(t: Term, scope: dict) -> tuple[int, tuple[int, ...]]:
             if t.var not in scope:
                 raise ValidationError(
                     f"sentence {sentence.name!r} uses the unbound variable {t.var!r}"
                 )
+            letters.update(t.word)
             return (scope[t.var], t.word)
 
         def equation(e: Equation):
@@ -324,6 +314,7 @@ class _Plan:
                 else:
                     (filt if z else tests).append(tuple(f or z))
             self.groups.setdefault((tuple(tests), tuple(key)), []).append((filt, eterms))
+        self.letters = tuple(sorted(letters))
 
     def _holds_everywhere(self, vecs: _RowVectors) -> bool:
         negated, ((i, wl), (j, wr)) = self.whole
@@ -355,7 +346,7 @@ class _Plan:
 def check_table(table, sentence: Sentence) -> tuple[bool, dict | None]:
     """Evaluate a sentence's plan on a raw action table (valid act or not);
     the same answer and counterexample as `model_check_table`."""
-    a = sentence._plan.first_failure(_RowVectors(table))
+    a = sentence._plan.first_failure(_RowVectors(table, len(table[0]) if table else 0))
     if a is None:
         return (True, None)
     return (False, dict(zip(sentence.forall, a)))
@@ -375,12 +366,19 @@ def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
     return (ok, env)
 
 
+@lru_cache(maxsize=256)
+def _holds(plan: _Plan, k: int, rows: tuple) -> bool:
+    """Whether the plan's sentence holds on every table over a carrier of
+    size k whose rows at `plan.letters` are `rows`: they fix every vector."""
+    return plan.first_failure(_RowVectors(dict(zip(plan.letters, rows)), k)) is None
+
+
 def satisfies_all(B: Act, sentences) -> bool:
-    """Whether B satisfies every sentence.  Verdicts are kept for the 8 most
-    recent tables, which pays off when one act meets several sets in a row."""
+    """Whether B satisfies every sentence.  A plan's verdict is kept under the
+    carrier size and the rows it reads, so acts that share those rows share it."""
     _require_left(B)
-    vecs = _row_vectors(B.table)
-    return all(vecs.holds(s._plan) for s in sentences)
+    k, row = B.size, B.table.__getitem__
+    return all(_holds(p, k, tuple(map(row, p.letters))) for p in (s._plan for s in sentences))
 
 
 @dataclass
@@ -412,7 +410,7 @@ def verify_axiomatisations(
     """Check "satisfies the schema ⇔ satisfies the condition" on every left
     act up to the size bound, for each class; any divergence is a hard
     failure.  The acts are enumerated once and each is checked against every
-    class in turn, so the classes share its vectors and act-law verdicts."""
+    class in turn."""
     axsets = [emit_axioms(M, c) for c in class_ids]
     reports = [AxiomCheckReport(ax.class_id, M.name, max_act_size, 0, []) for ax in axsets]
     for B in enumerate_acts(M, "left", max_act_size):

@@ -130,19 +130,21 @@ def as_pairs(items) -> tuple[tuple[int, int], ...]:
     return tuple(g if isinstance(g, tuple) else (g, g) for g in items)
 
 
+@lru_cache(maxsize=1024)
+def _structure(cid: str, M: FiniteMonoid, s: int, t: int) -> tuple:
+    """One parameter's entry of the class table: the minimum generators of
+    its structure, the same as pairs, and all its elements as sorted pairs."""
+    S = INTERPOLATION_CLASSES[cid].structure(M, s, t)
+    elements = S.pairs if isinstance(S, PairSubact) else S.members
+    gens = min_generating_set(S)
+    return gens, as_pairs(gens), as_pairs(sorted(elements))
+
+
 @lru_cache(maxsize=64)
 def _structures(cid: str, M: FiniteMonoid) -> dict:
-    """The class table (s, t) -> (minimum generators, the same as pairs, all
-    elements as sorted pairs), in parameter order, read by deciders, schemas
-    and replacement for every act over M; kept for the most recent monoids."""
-    cls = INTERPOLATION_CLASSES[cid]
-    out = {}
-    for s, t in cls.params(M):
-        S = cls.structure(M, s, t)
-        elements = S.pairs if isinstance(S, PairSubact) else S.members
-        gens = min_generating_set(S)
-        out[s, t] = (gens, as_pairs(gens), as_pairs(sorted(elements)))
-    return out
+    """The class table (s, t) -> `_structure(cid, M, s, t)` in parameter order,
+    read by deciders and schemas; kept for the most recent monoids."""
+    return {(s, t): _structure(cid, M, s, t) for s, t in INTERPOLATION_CLASSES[cid].params(M)}
 
 
 @lru_cache(maxsize=64)
@@ -171,24 +173,39 @@ def _check_tf(B: Act) -> ConditionReport:
     return ConditionReport("TF", "holds")
 
 
-def _interpolate(B: Act, cid: str, want: bool) -> ConditionReport:
-    """Every trigger instance must have its legs in the union of the
-    generators' orbits, which is the structure's orbit: legs = (u·c, v·c)
-    for a generator (u, v) and c in B.  Reported interpolants range over
-    the whole structure."""
+@lru_cache(maxsize=16)
+def _interpolate(B: Act, cid: str) -> tuple[int, int, int, int] | None:
+    """The first trigger instance (s, t, b, b') of a recent act whose legs
+    are outside the union of the generators' orbits, which is the
+    structure's orbit: legs = (u·c, v·c) for a generator (u, v) and c in B.
+    None when the act is in the class."""
     cls = INTERPOLATION_CLASSES[cid]
     rows = B.table
-    found = [] if want else None
-    for (s, t), (_, gen_pairs, pairs) in _structures(cid, B.monoid).items():
-        orbit = {legs for u, v in gen_pairs for legs in zip(rows[u], rows[v])}
+    orbits = {}  # generator pairs -> their orbit, shared by the parameters
+    for (s, t), (_, gen_pairs, _) in _structures(cid, B.monoid).items():
+        orbit = orbits.get(gen_pairs)
+        if orbit is None:
+            orbit = orbits[gen_pairs] = {x for u, v in gen_pairs for x in zip(rows[u], rows[v])}
         for b, b2s, legs in cls.instances(B, s, t):
             if legs not in orbit:
-                return ConditionReport(cid, "fails", _instance(B, cls, s, t, b, b2s[0]))
-            if found is not None:
-                hit = _interpolant(B, cls, pairs, legs)
-                found += (_instance(B, cls, s, t, b, b2, hit) for b2 in b2s)
-    details = {"instances": found} if found is not None else None
-    return ConditionReport(cid, "holds", None, details)
+                return s, t, b, b2s[0]
+    return None
+
+
+def _decide(B: Act, cid: str, want: bool) -> ConditionReport:
+    """A class's report, built afresh from the decision `_interpolate` keeps."""
+    cls = INTERPOLATION_CLASSES[cid]
+    failure = _interpolate(B, cid)
+    if failure is not None:
+        return ConditionReport(cid, "fails", _instance(B, cls, *failure))
+    if not want:
+        return ConditionReport(cid, "holds")
+    found = []
+    for (s, t), (_, _, pairs) in _structures(cid, B.monoid).items():
+        for b, b2s, legs in cls.instances(B, s, t):
+            hit = _interpolant(B, cls, pairs, legs)
+            found += (_instance(B, cls, s, t, b, b2, hit) for b2 in b2s)
+    return ConditionReport(cid, "holds", None, {"instances": found})
 
 
 def _interpolant(B: Act, cls, pairs, legs) -> tuple[int, int, int]:
@@ -227,12 +244,12 @@ def _check(B: Act, cond: str, want: bool) -> ConditionReport:
     if cond == "TF":
         return _check_tf(B)
     if cond in INTERPOLATION_CLASSES:
-        return _interpolate(B, cond, want)
+        return _decide(B, cond, want)
     if cond != "SF":
         raise UnknownConditionError(cond)
     details = {}
     for cid in ("P", "E"):
-        part = _interpolate(B, cid, want)
+        part = _decide(B, cid, want)
         if not part.holds:
             return ConditionReport("SF", "fails", part.witness)
         details[cid] = part.details
@@ -305,7 +322,7 @@ def check_wf(B: Act) -> ConditionReport:
     if w is not None:
         gens, pair1, pair2 = [w["a"]], w["pair1"], w["pair2"]
     else:
-        w = _interpolate(B, "W", False).witness
+        w = _decide(B, "W", False).witness
         if w is None:
             return ConditionReport("WF", "holds")
         gens, pair1, pair2 = [w["s"], w["t"]], [w["s"], w["a"]], [w["t"], w["a2"]]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .act import Act
-from .conditions import INTERPOLATION_CLASSES, _structures, check_condition
+from .conditions import INTERPOLATION_CLASSES, _structure, check_condition
 from .errors import BadParamsError, ElementNotFoundError, SideMismatchError, ValidationError
 from .monoid import FiniteMonoid
 from .tensor import Skeleton
@@ -54,7 +54,7 @@ def replacement_skeletons(
     if cls.diagonal and s != t:
         raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    gens, gen_pairs, _ = _structures(cid, M)[s, t]
+    gens, gen_pairs, _ = _structure(cid, M, s, t)
     sks = tuple(
         Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v)) for u, v in gen_pairs
     )
@@ -109,7 +109,7 @@ def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
     decider has put every instance's legs in the union of these orbits."""
     M, rows = B.monoid, B.table
     cls = INTERPOLATION_CLASSES[rset.class_id]
-    gen_pairs = _structures(rset.class_id, M)[rset.s, rset.t][1]
+    gen_pairs = _structure(rset.class_id, M, rset.s, rset.t)[1]
     orbits = [set(zip(rows[u], rows[v])) for u, v in gen_pairs]
     labels = [sk.labels(M) for sk in rset.skeletons]
     return [

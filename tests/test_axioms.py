@@ -11,6 +11,7 @@ from actalab.axioms import (
     Equation,
     Sentence,
     Term,
+    _holds,
     act_axioms,
     check_table,
     model_check_table,
@@ -36,31 +37,56 @@ def test_act_axioms_present_in_every_set(zoo_monoids):
 
 
 def test_shared_verdicts_stay_with_their_table(null2, left_zero):
-    """`satisfies_all` keeps each plan's verdict with the table it ran on.
-    Over acts whose tables alternate, and over one table that is an act of
-    two monoids whose sentences carry the same names, every answer is the
-    one a fresh evaluation of each sentence gives."""
+    """`satisfies_all` keeps each plan's verdict under the carrier size and
+    the rows the plan reads.  Over more interleaved acts than the memo
+    holds, over tables of sizes 1 and 2 (law-breaking ones too) against the
+    act laws and a sentence that reads no row, and over one table that is
+    an act of two monoids whose sentences carry the same names, every
+    answer is the one a fresh evaluation of each sentence gives."""
     classes = ("P", "E", "EP", "W", "PWP")
 
-    def check(run):
+    def check(run, sets):
         answers = set()
         for B in run:
-            for cls in classes:
-                sentences = al.emit_axioms(B.monoid, cls).sentences
+            for name, sentences in sets(B.monoid):
                 got = satisfies_all(B, sentences)
                 assert got == all(check_table(B.table, s)[0] for s in sentences), (
-                    B.monoid.name, B.table, cls)
-                answers.add((B.monoid.name, cls, got))
+                    B.monoid.name, B.table, name)
+                answers.add((B.monoid.name, name, got))
         return answers
 
+    axsets = {}
+
+    def class_sets(M):
+        if M not in axsets:
+            axsets[M] = [(cls, al.emit_axioms(M, cls).sentences) for cls in classes]
+        return axsets[M]
+
+    iow2 = al.build("inverse_omega_chain", n=2)
+    acts = list(al.enumerate_acts(iow2, "left", 4))
+    assert len(acts) > _holds.cache_info().maxsize
+    _holds.cache_clear()
+    answers = check([B for pair in zip(acts, reversed(acts)) for B in pair], class_sets)
+    memo = _holds.cache_info()  # the memo was both hit and evicted from
+    assert memo.hits and memo.misses > memo.maxsize
+    assert {(iow2.name, "P", True), (iow2.name, "P", False)} <= answers
     acts = list(al.enumerate_acts(null2, "left", 3))
-    answers = check([B for pair in zip(acts, reversed(acts)) for B in pair])
+    answers = check([B for pair in zip(acts, reversed(acts)) for B in pair], class_sets)
     assert {("null_adjoined(2)", "P", True), ("null_adjoined(2)", "P", False)} <= answers
+
+    # every table of sizes 1 and 2, valid or not, read as a left act
+    everything = Sentence("all equal", ("x", "y"), "equation", Equation(Term((), "x"), Term((), "y")))
+    laws = [("laws", act_axioms(null2)), ("all equal", (everything,))]
+    tables = [list(rows) for k in (1, 2) for rows in product(product(range(k), repeat=k), repeat=3)]
+    raw = [al.Act(null2, "left", tuple("ab"[: len(t[0])]), tuple(t)) for t in tables]
+    answers = check([B for pair in zip(raw, reversed(raw)) for B in pair], lambda M: laws)
+    assert {(null2.name, n, v) for n in ("laws", "all equal") for v in (True, False)} <= answers
+
     z3 = al.monoid_from_indices("z3", left_zero.element_names,
                                 [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
     points = [al.validate_act(M, "left", ["o"], [[0]] * 3) for M in (z3, left_zero)]
     assert points[0].table == points[1].table
-    answers = check(points * 3)
+    answers = check(points * 3, class_sets)
     assert {("z3", "P", True), (left_zero.name, "P", False)} <= answers
 
 

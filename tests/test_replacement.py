@@ -1,7 +1,9 @@
 import pytest
 
 import actalab as al
+from actalab.conditions import INTERPOLATION_CLASSES, _interpolate, _structure, _structures
 from actalab.errors import BadParamsError, ElementNotFoundError, ValidationError
+from actalab.monoid import min_generating_set
 from actalab.replacement import verify_replacements
 from helpers import check_replaced_instances, replacement_shape_ok
 
@@ -122,3 +124,49 @@ def test_parameters_outside_monoid(natmin3):
     # the class is resolved before the pairs, so an empty list still checks it
     with pytest.raises(ValidationError):
         verify_replacements(B, [], "XX")
+
+
+def test_per_pair_reports_match_the_batch_and_decide_once(zoo_monoids):
+    """Over every act of size <= 3 of the zoo, each pair's report equals the
+    matching report of the batch call, and the class of each act is decided
+    once for all of them."""
+    _interpolate.cache_clear()
+    decisions = 0
+    for M in zoo_monoids:
+        for B in al.enumerate_acts(M, "left", 3):
+            for cid, cls in INTERPOLATION_CLASSES.items():
+                pairs = cls.params(M)
+                batch = verify_replacements(B, pairs, cid)
+                for (s, t), report in zip(pairs, batch):
+                    assert al.verify_replacement(B, s, t, cid).to_dict() == report.to_dict()
+                decisions += 1
+    assert _interpolate.cache_info().misses == decisions
+
+
+def test_pair_structures_match_the_class_table(zoo_monoids):
+    """Each pair's replacement set, built pair by pair in reverse order
+    with no class table, reads the entry that the class table holds."""
+    _structures.cache_clear()
+    _structure.cache_clear()
+    rsets = {
+        (M, cid, s, t): al.replacement_skeletons(M, s, t, cid)
+        for M in zoo_monoids
+        for cid, cls in INTERPOLATION_CLASSES.items()
+        for s, t in reversed(cls.params(M))
+    }
+    assert _structures.cache_info().currsize == 0
+    _structure.cache_clear()
+    for (M, cid, s, t), rset in rsets.items():
+        gens, gen_pairs, _ = _structures(cid, M)[s, t]
+        assert rset.generators == gens
+        assert len(rset.skeletons) == len(gen_pairs)
+
+
+def test_one_pair_builds_only_its_structure():
+    """`replace compute` for one pair of a large monoid reads that pair's
+    structure and leaves the class table unbuilt."""
+    M = al.build("null_adjoined", n=16)
+    _structures.cache_clear()
+    rset = al.replacement_skeletons(M, 1, 2, "P")
+    assert _structures.cache_info().currsize == 0
+    assert rset.generators == min_generating_set(al.R_set(M, 1, 2))

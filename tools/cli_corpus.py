@@ -20,7 +20,8 @@ semilattice22), `replace compute|verify`,
 monoid and act files, and the budget guards, `zoo build` and `zoo report`
 among them.  `enumerate` also runs over
 null_adjoined(3), whose zero is labelled after x1 and x2, so that a row's
-square lands on a later row.  The input files are written
+square lands on a later row, and `replace compute` runs once over
+null_adjoined(16), one pair of a large monoid.  The input files are written
 to a temporary directory, which is also the working directory of the runs.
 Only the standard library and the package under src/ are used; the script
 takes no options and its output does not depend on the machine.
@@ -213,6 +214,10 @@ def main():
             null3 = write("null3.json", monoid_to_dict(zoo.build("null_adjoined", n=3)))
             for side in ("left", "right"):
                 enumerate_runs(null3, side)
+            # one pair of a 17-element monoid, whose class table is large
+            null16 = write("null16.json", monoid_to_dict(zoo.build("null_adjoined", n=16)))
+            run(["replace", "compute", "--class", "p", "--monoid", null16,
+                 "--s", "x1", "--t", "x2", "--json"])
             for index in (5, 6):  # semilattice22 and natmin3
                 for cls in CLASSES:
                     run(["axioms", "verify", "--class", cls, "--monoid", f"m{index}.json",
