@@ -75,10 +75,11 @@ def test_shared_verdicts_stay_with_their_table(null2, left_zero):
     assert {("null_adjoined(2)", "P", True), ("null_adjoined(2)", "P", False)} <= answers
 
     # every table of sizes 1 and 2, valid or not, read as a left act
-    everything = Sentence("all equal", ("x", "y"), "equation", Equation(Term((), "x"), Term((), "y")))
+    everything = Sentence("all equal", ("x", "y"), "equation",
+                          Equation(Term((), "x"), Term((), "y")))
     laws = [("laws", act_axioms(null2)), ("all equal", (everything,))]
-    tables = [list(rows) for k in (1, 2) for rows in product(product(range(k), repeat=k), repeat=3)]
-    raw = [al.Act(null2, "left", tuple("ab"[: len(t[0])]), tuple(t)) for t in tables]
+    tables = [rows for k in (1, 2) for rows in product(product(range(k), repeat=k), repeat=3)]
+    raw = [al.Act(null2, "left", tuple("ab"[: len(t[0])]), t) for t in tables]
     answers = check([B for pair in zip(raw, reversed(raw)) for B in pair], lambda M: laws)
     assert {(null2.name, n, v) for n in ("laws", "all equal") for v in (True, False)} <= answers
 
