@@ -143,11 +143,11 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
     forall = tuple(dict.fromkeys(cls.trigger))
     sentences = list(act_axioms(M))
     provenance: dict[str, dict] = {}
-    for (s, t), (gens, gen_pairs, _) in _structures(cid, M).items():
+    for (s, t), gen_pairs in _structures(cid, M).items():
         params = [names[t]] if cls.diagonal else [names[s], names[t]]
         name = f"{cid}[{','.join(params)}]"
         trigger = _eq(_t(x, s), _t(y, t))
-        if gens:
+        if gen_pairs:
             sides = [
                 _t(v, p) if cls.scaled else _t(v) for v, p in zip(cls.trigger, (s, t))
             ]
@@ -163,10 +163,7 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
             sentences.append(Sentence(name, forall, "inequation", trigger))
         provenance[name] = {
             "params": params,
-            "generators": [
-                [names[u] for u in g] if isinstance(g, tuple) else names[g]
-                for g in gens
-            ],
+            "generators": [names[u] if cls.ideal else [names[u], names[v]] for u, v in gen_pairs],
         }
     return AxiomSet(cid, M, tuple(sentences), provenance)
 

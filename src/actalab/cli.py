@@ -7,10 +7,10 @@ ACTALAB_MAX_CELLS (default 10^8, a positive integer) caps the
 |S|^2 * |A| * |B| work estimate of a command before it starts, and for
 `enumerate` and `axioms verify` also the (|S|-1) * k^k row candidates at the
 largest carrier size k and, with --distinct, the k! carrier relabellings;
-for `check --condition flat --flat-bound m` it caps the skeletons of length
-up to m, each quotient merged on (m+1)*|S| positions under |S| actions and
-the pairs of B, (|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2; for
-`zoo build` the |S|^3 associativity check, for `zoo report` sum(n^4).
+for `check --condition flat --flat-bound m` a conservative bound that charges
+each skeleton of length up to m a merge of its quotient, (|S|^2 + ... +
+|S|^(2m)) * (m+1) * |S|^2 * |B|^2; for `zoo build` the |S|^3 associativity
+check, for `zoo report` sum(n^4).
 """
 
 from __future__ import annotations
@@ -98,11 +98,12 @@ def _guard_enumeration(n_s: int, k: int, distinct: bool):
 
 
 def _guard_flat(n_s: int, n_b: int, m: int):
-    """(|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2: the skeletons of the
-    bounded flatness search, times the (m+1)*|S| positions and |S| actions
-    of the standard quotient each one merges, times the pairs of B.  With
-    |S| >= 2 the term |S|^(2k) alone passes the cap once 4^k does, so later
-    terms are not computed and the diagnostic gives a lower bound."""
+    """(|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2, a conservative bound
+    on the bounded flatness search: each skeleton is charged a merge of its
+    quotient, (m+1)*|S| positions under |S| actions, over the pairs of B,
+    where it costs one composition and one lookup.  With |S| >= 2 the term
+    |S|^(2k) alone passes the cap once 4^k does, so later terms are not
+    computed and the diagnostic gives a lower bound."""
     if n_s == 1:
         total, exact = m, True
     else:

@@ -27,17 +27,16 @@ from .monoid import (
     PairSubact,
     R_set,
     RightIdeal,
+    generated_pair_subact,
     ideal_intersection,
     left_cancellable_elements,
     min_generating_set,
     r_set,
 )
 from .tensor import (
-    Skeleton,
     _gamma_relations,
     _presented_tensor,
     _relations,
-    gamma_pairs,
     standard_subact,
 )
 
@@ -85,23 +84,28 @@ class InterpolationClass:
     diagonal: bool = False  # the parameters are (t, t) only
     scaled: bool = False
 
+    @property
+    def ideal(self) -> bool:
+        """The structure is a right ideal: an interpolant is one element u."""
+        return len(self.keys[2]) == 1
+
     def params(self, M: FiniteMonoid) -> list[tuple[int, int]]:
         if self.diagonal:
             return [(t, t) for t in M.elements()]
         return [(s, t) for s in M.elements() for t in M.elements()]
 
-    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, tuple, tuple]]:
+    def instances(self, B: Act, s: int, t: int) -> list[tuple[int, int, tuple]]:
         """Trigger instances s·b = t·b', where b' = b when y is x, as
-        (b, b's, legs) in order of b: the b' in carrier order whose instances
-        share the legs an interpolant must reach, which are (b, b') for one
-        b', or (s·b, s·b) for a scaled class and all of t's fibre over s·b."""
+        (b, b', legs) in order of b and then b', with the legs an interpolant
+        must reach: (b, b'), or (s·b, s·b) for a scaled class."""
         srow = B.table[s]
         if self.trigger[0] == self.trigger[-1]:
-            return [(b, (b,), (b, b)) for b, v in enumerate(srow) if v == B.table[t][b]]
+            return [(b, b, (b, b)) for b, v in enumerate(srow) if v == B.table[t][b]]
         fibre = _fibre(B.table[t])
-        if self.scaled:
-            return [(b, fibre[v], (v, v)) for b, v in enumerate(srow) if v in fibre]
-        return [(b, (b2,), (b, b2)) for b, v in enumerate(srow) for b2 in fibre.get(v, ())]
+        return [
+            (b, b2, (v, v) if self.scaled else (b, b2))
+            for b, v in enumerate(srow) for b2 in fibre.get(v, ())
+        ]
 
 
 # The classes that the deciders, the sentence schemas and the replacement
@@ -131,13 +135,10 @@ def as_pairs(items) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _structure(cid: str, M: FiniteMonoid, s: int, t: int) -> tuple:
+def _structure(cid: str, M: FiniteMonoid, s: int, t: int) -> tuple[tuple[int, int], ...]:
     """One parameter's entry of the class table: the minimum generators of
-    its structure, the same as pairs, and all its elements as sorted pairs."""
-    S = INTERPOLATION_CLASSES[cid].structure(M, s, t)
-    elements = S.pairs if isinstance(S, PairSubact) else S.members
-    gens = min_generating_set(S)
-    return gens, as_pairs(gens), as_pairs(sorted(elements))
+    its structure as pairs, from which the rest of it is generated."""
+    return as_pairs(min_generating_set(INTERPOLATION_CLASSES[cid].structure(M, s, t)))
 
 
 @lru_cache(maxsize=64)
@@ -182,13 +183,13 @@ def _interpolate(B: Act, cid: str) -> tuple[int, int, int, int] | None:
     cls = INTERPOLATION_CLASSES[cid]
     rows = B.table
     orbits = {}  # generator pairs -> their orbit, shared by the parameters
-    for (s, t), (_, gen_pairs, _) in _structures(cid, B.monoid).items():
+    for (s, t), gen_pairs in _structures(cid, B.monoid).items():
         orbit = orbits.get(gen_pairs)
         if orbit is None:
             orbit = orbits[gen_pairs] = {x for u, v in gen_pairs for x in zip(rows[u], rows[v])}
-        for b, b2s, legs in cls.instances(B, s, t):
+        for b, b2, legs in cls.instances(B, s, t):
             if legs not in orbit:
-                return s, t, b, b2s[0]
+                return s, t, b, b2
     return None
 
 
@@ -200,17 +201,19 @@ def _decide(B: Act, cid: str, want: bool) -> ConditionReport:
         return ConditionReport(cid, "fails", _instance(B, cls, *failure))
     if not want:
         return ConditionReport(cid, "holds")
-    found = []
-    for (s, t), (_, _, pairs) in _structures(cid, B.monoid).items():
-        for b, b2s, legs in cls.instances(B, s, t):
+    M, found = B.monoid, []
+    for (s, t), gen_pairs in _structures(cid, M).items():
+        pairs = sorted(generated_pair_subact(M, gen_pairs).pairs)
+        for b, b2, legs in cls.instances(B, s, t):
             hit = _interpolant(B, cls, pairs, legs)
-            found += (_instance(B, cls, s, t, b, b2, hit) for b2 in b2s)
+            found.append(_instance(B, cls, s, t, b, b2, hit))
     return ConditionReport(cid, "holds", None, {"instances": found})
 
 
 def _interpolant(B: Act, cls, pairs, legs) -> tuple[int, int, int]:
-    """The first (u, v, c) with (u·c, v·c) = legs: smallest c first, or
-    smallest u first for a scaled class, whose pairs are all (u, u)."""
+    """The first (u, v, c) with (u·c, v·c) = legs among the structure's
+    sorted pairs: smallest c first, or smallest u first for a scaled class,
+    whose pairs are all (u, u)."""
     rows = B.table
     b, b2 = legs
     if cls.scaled:
@@ -353,9 +356,10 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
     shortest first.  Their gamma relations are composed one step at a time
     along shared prefixes, and ([x]S ∪ [x']S) ⊗ B is merged once per call
     for each `standard_subact` table, so a skeleton costs a few lookups.
-    Only a failing skeleton walks `gamma_pairs`, and its first split pair
-    is the witness.  A failure here is a definitive non-flatness witness;
-    exhausting the bound is only "passes-up-to-bound".
+    The witness is the failing skeleton's least split pair (b, b2): the
+    lowest bit b*|B| + b2 of its relation outside the joined pairs.  A
+    failure here is a definitive non-flatness witness; exhausting the
+    bound is only "passes-up-to-bound".
     """
     _require_left(B)
     if m_max < 1:
@@ -371,11 +375,11 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
             same = joined.get(x_rows)
             if same is None:
                 same = joined[x_rows] = _joined_pairs(B, x_rows)
-            if rel & ~same:
-                sk = Skeleton(entries)
-                pairs = gamma_pairs(B, sk)
-                b, b2 = next((b, b2) for b, b2 in pairs if not same >> b * nb + b2 & 1)
-                witness = {"skeleton": list(sk.labels(M)), "b": B.label(b), "b2": B.label(b2)}
+            split = rel & ~same
+            if split:
+                b, b2 = divmod((split & -split).bit_length() - 1, nb)
+                witness = {"skeleton": [M.label(e) for e in entries],
+                           "b": B.label(b), "b2": B.label(b2)}
                 return ConditionReport("FLAT", "fails", witness)
     checked = sum(n ** (2 * m) for m in range(1, m_max + 1))
     return ConditionReport(

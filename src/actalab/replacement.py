@@ -54,10 +54,11 @@ def replacement_skeletons(
     if cls.diagonal and s != t:
         raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    gens, gen_pairs, _ = _structure(cid, M, s, t)
+    gen_pairs = _structure(cid, M, s, t)
     sks = tuple(
         Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v)) for u, v in gen_pairs
     )
+    gens = tuple(u for u, _ in gen_pairs) if cls.ideal else gen_pairs
     return ReplacementSet(cid, s, t, Skeleton((e, s, t, e)), sks, gens)
 
 
@@ -109,13 +110,12 @@ def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
     decider has put every instance's legs in the union of these orbits."""
     M, rows = B.monoid, B.table
     cls = INTERPOLATION_CLASSES[rset.class_id]
-    gen_pairs = _structure(rset.class_id, M, rset.s, rset.t)[1]
+    gen_pairs = _structure(rset.class_id, M, rset.s, rset.t)
     orbits = [set(zip(rows[u], rows[v])) for u, v in gen_pairs]
     labels = [sk.labels(M) for sk in rset.skeletons]
     return [
         {"a": B.label(a), "b": B.label(b),
          "skeleton": list(next(lab for lab, o in zip(labels, orbits) if legs in o)),
          "tossing_valid": True}
-        for a, bs, legs in cls.instances(B, rset.s, rset.t)
-        for b in bs
+        for a, b, legs in cls.instances(B, rset.s, rset.t)
     ]

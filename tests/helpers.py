@@ -707,7 +707,8 @@ def wf_witness_is_genuine(B, witness) -> bool:
 def flat_bounded_oracle(B, m_max: int) -> ConditionReport:
     """The bounded flatness search with a full tensor product per skeleton:
     the gamma pairs of B must share a class of ([x]S ∪ [x']S) ⊗ B at the
-    standard quotient's marks [x] and [x']."""
+    standard quotient's marks [x] and [x'], and the witness is the least
+    pair (b, b2) that does not."""
     M = B.monoid
     n = M.size
     checked = 0
@@ -720,7 +721,7 @@ def flat_bounded_oracle(B, m_max: int) -> ConditionReport:
                 continue
             U, x_pos, xp_pos = standard_subact_oracle(M, entries)
             UB = elementary_tensor(U, B)
-            for b, b2 in gp:
+            for b, b2 in sorted(gp):
                 if not UB.same_class(x_pos, b, xp_pos, b2):
                     witness = {
                         "skeleton": list(sk.labels(M)),

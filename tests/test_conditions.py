@@ -287,9 +287,10 @@ def test_flat_bounded_regular_act(zoo_monoids):
 
 def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
     """The prefix-composed search against a full ([x]S ∪ [x']S) ⊗ B and a
-    gamma_pairs walk per skeleton: identical reports at m=2 on every left
-    act of size <= 3 of the zoo and left_zero and on the 101 of size 4 of
-    null2, and at m=3 on those of size <= 3 of null2 and left_zero."""
+    gamma_pairs walk per skeleton: identical reports, the witness being the
+    least split pair, at m=2 on every left act of size <= 3 of the zoo and
+    left_zero and on the 101 of size 4 of null2, and at m=3 on those of
+    size <= 3 of null2 and left_zero."""
     verdicts = set()
     cases = [(M, 2, al.enumerate_acts(M, "left", 3)) for M in zoo_monoids + [left_zero]]
     cases += [(M, 3, al.enumerate_acts(M, "left", 3)) for M in (null2, left_zero)]

@@ -1,9 +1,15 @@
 import pytest
 
 import actalab as al
-from actalab.conditions import INTERPOLATION_CLASSES, _interpolate, _structure, _structures
+from actalab.conditions import (
+    INTERPOLATION_CLASSES,
+    _interpolate,
+    _structure,
+    _structures,
+    as_pairs,
+)
 from actalab.errors import BadParamsError, ElementNotFoundError, ValidationError
-from actalab.monoid import min_generating_set
+from actalab.monoid import PairSubact, generated_pair_subact, min_generating_set
 from actalab.replacement import verify_replacements
 from helpers import check_replaced_instances, replacement_shape_ok
 
@@ -145,7 +151,10 @@ def test_per_pair_reports_match_the_batch_and_decide_once(zoo_monoids):
 
 def test_pair_structures_match_the_class_table(zoo_monoids):
     """Each pair's replacement set, built pair by pair in reverse order
-    with no class table, reads the entry that the class table holds."""
+    with no class table, reads the entry that the class table holds, which
+    is the structure's minimum generators as pairs.  The generators the set
+    reports are `min_generating_set`'s, and the pairs the entry generates
+    are the structure's elements."""
     _structures.cache_clear()
     _structure.cache_clear()
     rsets = {
@@ -157,9 +166,13 @@ def test_pair_structures_match_the_class_table(zoo_monoids):
     assert _structures.cache_info().currsize == 0
     _structure.cache_clear()
     for (M, cid, s, t), rset in rsets.items():
-        gens, gen_pairs, _ = _structures(cid, M)[s, t]
-        assert rset.generators == gens
+        S = INTERPOLATION_CLASSES[cid].structure(M, s, t)
+        gen_pairs = _structures(cid, M)[s, t]
+        assert gen_pairs == as_pairs(min_generating_set(S))
+        assert rset.generators == min_generating_set(S)
         assert len(rset.skeletons) == len(gen_pairs)
+        elements = S.pairs if isinstance(S, PairSubact) else as_pairs(S.members)
+        assert generated_pair_subact(M, gen_pairs).pairs == set(elements)
 
 
 def test_one_pair_builds_only_its_structure():

@@ -12,7 +12,8 @@ exit code is printed with "1" and the exception's type, as the installed
 
 The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
-skeleton bounds 1 and 3, `tensor`,
+skeleton bounds 1 and 3 and once on a null_adjoined(2) act whose failing
+skeleton splits two pairs, so that the witness rule shows, `tensor`,
 `tossing`, `axioms emit|modelcheck|verify` (verify per class and with
 --class all, and per class at carrier size 4 over natmin3 and
 semilattice22), `replace compute|verify`,
@@ -147,6 +148,16 @@ def corpus_for(index, M):
              "--limit", "4", "--json"])
 
 
+def flat_witness(null2):
+    """One flatness failure whose skeleton splits two gamma pairs, (a2, a0)
+    and (a0, a2): the witness is the least in carrier order, (a0, a2)."""
+    rows = [[0, 1, 2], [0, 1, 0], [0, 1, 0]]  # eps, x1, 0
+    B = validate_act(null2, "left", ["a0", "a1", "a2"], rows)
+    act = write("null2_split.json", act_to_dict(B))
+    run(["check", "--condition", "flat", "--act", act, "--monoid", "m4.json",
+         "--flat-bound", "2", "--json"])
+
+
 def enumerate_runs(mfile, side):
     for size in ("2", "3", "4"):
         base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
@@ -211,6 +222,7 @@ def main():
             monoids = [zoo.build(family, **params) for family, params in ZOO]
             for index, M in enumerate(monoids):
                 corpus_for(index, M)
+            flat_witness(monoids[4])
             null3 = write("null3.json", monoid_to_dict(zoo.build("null_adjoined", n=3)))
             for side in ("left", "right"):
                 enumerate_runs(null3, side)
