@@ -21,7 +21,6 @@ from .axioms import (
     model_check,
     sentence_to_text,
     torsion_free_axioms,
-    verify_axiomatisation,
     verify_axiomatisations,
 )
 from .conditions import (

@@ -270,29 +270,31 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
 
     # Each law f∘g = comp(f, g) that the new row x completes is kept at x
     # once its target h is known: assigned, as the pair (h, e), or the
-    # product f'∘g' of assigned rows that h's pinned law at e will pin it
-    # to; else at h.  Those where x occurs once, and f∘x = x, narrow each
-    # entry of x before any candidate is tried:
+    # product f'∘g' of assigned rows that h's `forced` law will fix it to;
+    # else at h.  Those where x occurs once, and f∘x = x, narrow each entry
+    # of x before any candidate is tried:
+    #   forced   x = f∘g           x read once, from the first (f, g); the
+    #                              branch is cut unless the others agree
     #   preimage f∘x = h           x(a) in f^-1(h(a))
-    #   pinned   x∘g = h           x(g(a)) = h(a); x = f∘g is x∘e = f∘g
+    #   pinned   x∘g = h           x(g(a)) = h(a)
     #   fixing   f∘x = x           x(a) in Fix(f)
-    # x's own square x∘x = h, once h is x or known and x is no such product,
-    # is kept by the row search (`squares`), and x∘g = x is checked on each
+    # x's own square x∘x = h, once h is x or known and x is not forced, is
+    # kept by the row search (`squares`), and x∘g = x is checked on each
     # candidate (`absorbing`).
-    preimage, pinned, fixing, squares, absorbing = [], [], [], [], []
+    forced, preimage, pinned, fixing, squares, absorbing = [], [], [], [], [], []
     assigned = {e}
     for x in order:
         fixed = sorted(assigned - {e})
         known = {comp(f, g): (f, g) for f in fixed for g in fixed}
         known.update({h: (h, e) for h in assigned})
         known.pop(x, None)  # f∘x = x stays `fixing`
-        forced = [(e, (f, g)) for f in fixed for g in fixed if comp(f, g) == x]
+        forced.append([(f, g) for f in fixed for g in fixed if comp(f, g) == x])
         preimage.append([(f, known[comp(f, x)]) for f in fixed if comp(f, x) in known])
-        pinned.append(forced + [(g, known[comp(x, g)]) for g in fixed if comp(x, g) in known])
+        pinned.append([(g, known[comp(x, g)]) for g in fixed if comp(x, g) in known])
         fixing.append([f for f in fixed if comp(f, x) == x])
         h = comp(x, x)
         # x = f∘g needs no square: x∘x = f∘(g∘x) follows from the other laws
-        squares.append(None if forced else (x, e) if h == x else known.get(h))
+        squares.append(None if forced[-1] else (x, e) if h == x else known.get(h))
         absorbing.append([g for g in fixed if comp(x, g) == x])
         assigned.add(x)
 
@@ -309,6 +311,12 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
         """The values each entry of the row at `pos` may take, as bitmasks
         narrowed by the laws with the assigned rows, then as sorted lists."""
         allowed = [full] * k
+        if forced[pos]:
+            (f, g), *rest = forced[pos]
+            X = row(f, g)
+            if any(row(f2, g2) != X for f2, g2 in rest):
+                return [[]] * k
+            allowed = [1 << v for v in X]
         for f, h in preimage[pos]:
             F, H = rows[f], row(*h)
             pre = [0] * k

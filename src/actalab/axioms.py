@@ -426,13 +426,6 @@ def verify_axiomatisations(
     return reports
 
 
-def verify_axiomatisation(
-    M: FiniteMonoid, class_id: str, max_act_size: int
-) -> AxiomCheckReport:
-    """`verify_axiomatisations` for one class."""
-    return verify_axiomatisations(M, (class_id,), max_act_size)[0]
-
-
 def term_to_text(M: FiniteMonoid, term: Term) -> str:
     if not term.word:
         return term.var

@@ -3,12 +3,12 @@ torsion-freeness, the interpolation conditions (P), (E), (EP), (W), (PWP),
 strong flatness as (P) and (E) combined, principal weak flatness, weak
 flatness, and a bounded refutation procedure for flatness itself.
 
-PWF, WF and the flatness search build no tensor product: U ⊗ B is merged on
-copies of B by the presented merge-find of `tensor`, one copy per generator
-of U (one for PWF's aS, two for a skeleton's [x]S ∪ [x']S), and WF is PWF
-together with (W).  Each interpolation class is decided from its entry in
-`INTERPOLATION_CLASSES`: every trigger instance, listed with its legs, must
-have the legs in the orbit of the structure's minimum generators.
+PWF, WF and the flatness search build no tensor product: they read the
+classes of U ⊗ B that `tensor.present` numbers on copies of B, one copy per
+generator of U (one for PWF's aS, two for a skeleton's [x]S ∪ [x']S), and
+WF is PWF together with (W).  Each interpolation class is decided from its
+entry in `INTERPOLATION_CLASSES`: every trigger instance, listed with its
+legs, must have the legs in the orbit of the structure's minimum generators.
 
 Every "fails" verdict carries a concrete counterexample that re-checks as a
 violation; interpolant reporting on success is opt-in to keep sweeps cheap.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .act import Act, find_root
+from .act import Act
 from .errors import SideMismatchError, UnknownConditionError, ValidationError
 from .monoid import (
     FiniteMonoid,
@@ -33,12 +33,7 @@ from .monoid import (
     min_generating_set,
     r_set,
 )
-from .tensor import (
-    _gamma_relations,
-    _presented_tensor,
-    _relations,
-    standard_subact,
-)
+from .tensor import _gamma_relations, _relations, present, standard_subact
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -284,14 +279,14 @@ def _pwf_witness(B: Act) -> dict | None:
     M, rows = B.monoid, B.table
     for a in M.elements():
         arow = M.mul[a]
-        parent = _presented_tensor(rows, 1, _relations(arow, M.size))
+        class_of, _ = present(rows, 1, _relations(arow, M.size))
         seen: dict[int, tuple[int, int, int]] = {}
         for k in sorted(set(arow)):
             urow = rows[arow.index(k)]
             for b in B.carrier():
-                root = find_root(parent, urow[b])
-                root1, k1, b1 = seen.setdefault(rows[k][b], (root, k, b))
-                if root1 != root:
+                ci = class_of[urow[b]]
+                ci1, k1, b1 = seen.setdefault(rows[k][b], (ci, k, b))
+                if ci1 != ci:
                     return {
                         "a": M.label(a), "b": B.label(rows[arow.index(k1)][b1]),
                         "b2": B.label(urow[b]),
@@ -340,11 +335,11 @@ def _joined_pairs(B: Act, x_rows: tuple[int, ...]) -> int:
     b*|B| + b2, for the subact presented by the table x_rows of x*u then
     x'*u, u in S."""
     nb = B.size
-    parent = _presented_tensor(B.table, 2, _relations(x_rows, B.monoid.size))
-    roots = [find_root(parent, pos) for pos in range(2 * nb)]
-    return sum(
-        1 << b * nb + b2 for b in range(nb) for b2 in range(nb) if roots[b] == roots[nb + b2]
-    )
+    class_of, firsts = present(B.table, 2, _relations(x_rows, B.monoid.size))
+    b2_bits = [0] * len(firsts)  # bit b2 of a class: x' ⊗ b2 is in it
+    for b2 in range(nb):
+        b2_bits[class_of[nb + b2]] |= 1 << b2
+    return sum(b2_bits[class_of[b]] << b * nb for b in range(nb))
 
 
 def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:

@@ -3,9 +3,9 @@ morphism out of a finitely presented quotient of a free act.
 
 A ⊗ B is the quotient of A x B by the equivalence generated by the
 elementary pairs (a*s, b) ~ (a, s*b).  Every tensor product here, and the
-standard quotient of a skeleton, is one merge-find over copies of a left
-act, one copy per generator of a presented right act.  A tossing is the
-explicit scheme of equations certifying a ⊗ b = a' ⊗ b':
+standard quotient of a skeleton, is one `present` call: copies of a left
+act, one per generator of a presented right act, merged and numbered.  A
+tossing is the explicit scheme of equations certifying a ⊗ b = a' ⊗ b':
 
              b     = s1*b1
   a *s1 = a2*t1    t1*b1 = s2*b2
@@ -142,30 +142,25 @@ def _relations(blocks, n: int):
             yield divmod(pos, n) + divmod(pos0, n)
 
 
-def _presented_tensor(rows, copies: int, relations) -> list[int]:
-    """Merge-find parents of U ⊗ B, for the left act B with table `rows`
-    and the right act U presented by `copies` generators x_i and the
-    relations (i, u, j, v), each x_i*u = x_j*v.  Tensoring is right exact,
-    so U ⊗ B is copies of B, i*|B| + c standing for x_i ⊗ c, modulo
-    (i, u*c) ~ (j, v*c) for every relation and every c."""
+def present(rows, copies: int, relations) -> tuple[list[int], list[int]]:
+    """U ⊗ B, for the left act B with table `rows` and the right act U
+    presented by `copies` generators x_i and the relations (i, u, j, v),
+    each x_i*u = x_j*v: tensoring is right exact, so U ⊗ B is copies of B,
+    i*|B| + c standing for x_i ⊗ c, modulo (i, u*c) ~ (j, v*c) for every
+    relation and c.  Returns the class of each position, classes numbered
+    by their first position, and those first positions."""
     nb = len(rows[0])
     parent = list(range(copies * nb))
+    # the later root joins the earlier, so every parent precedes its child
     for i, u, j, v in relations:
         for c, d in zip(rows[u], rows[v]):
-            parent[find_root(parent, i * nb + c)] = find_root(parent, j * nb + d)
-    return parent
-
-
-def _number_classes(parent: list[int]) -> tuple[list[int], list[int]]:
-    """The class of each position, classes numbered by their first
-    position, and those first positions."""
-    index_of: dict[int, int] = {}
+            ra, rb = find_root(parent, i * nb + c), find_root(parent, j * nb + d)
+            parent[ra if ra > rb else rb] = rb if ra > rb else ra
     class_of, firsts = [], []
-    for pos in range(len(parent)):
-        ci = index_of.setdefault(find_root(parent, pos), len(firsts))
-        if ci == len(firsts):
+    for pos, p in enumerate(parent):
+        class_of.append(class_of[p] if p < pos else len(firsts))
+        if p == pos:
             firsts.append(pos)
-        class_of.append(ci)
     return class_of, firsts
 
 
@@ -176,9 +171,7 @@ def tensor_product(A: Act, B: Act) -> TensorProduct:
     _check_sides(A, B)
     n, na, nb = A.monoid.size, A.size, B.size
     blocks = [A.table[s][a] for a in range(na) for s in range(n)]
-    class_of, firsts = _number_classes(
-        _presented_tensor(B.table, na, _relations(blocks, n))
-    )
+    class_of, firsts = present(B.table, na, _relations(blocks, n))
     members: list[list[tuple[int, int]]] = [[] for _ in firsts]
     for pos, ci in enumerate(class_of):
         members[ci].append(divmod(pos, nb))
@@ -438,21 +431,20 @@ def _gamma_relations(B: Act, m: int):
     return extend((), sum(1 << b * (nb + 1) for b in range(nb)), m)
 
 
-def _standard_merge(M: FiniteMonoid, entries: tuple[int, ...]) -> list[int]:
-    """Merge-find parents of the standard quotient Q on positions i*|S| + u,
-    each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is m+1 copies of S merged
-    along the relations x_i*s_(i+1) = x_(i+1)*t_(i+1)."""
+def _standard_classes(M: FiniteMonoid, entries: tuple[int, ...]):
+    """The classes of the standard quotient Q, as `present` numbers them, on
+    positions i*|S| + u, each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is
+    m+1 copies of S merged along the relations x_i*s_(i+1) = x_(i+1)*t_(i+1)."""
     _check_indices(entries, M.size, "monoid")
     m = Skeleton(entries).length
-    relations = [(i, entries[2 * i], i + 1, entries[2 * i + 1]) for i in range(m)]
-    return _presented_tensor(M.mul, m + 1, relations)
+    return present(M.mul, m + 1, zip(range(m), entries[::2], range(1, m + 1), entries[1::2]))
 
 
 @lru_cache(maxsize=4096)
 def _standard_parts(M: FiniteMonoid, entries: tuple[int, ...]):
     """(Q, marks, reps), Q's classes numbered by their first position
     (i, u), listed in reps, and named after it."""
-    block_of, firsts = _number_classes(_standard_merge(M, entries))
+    block_of, firsts = _standard_classes(M, entries)
     n = M.size
     reps = tuple(divmod(pos, n) for pos in firsts)
     names = tuple(f"[x{i + 1}#{M.element_names[u]}]" for i, u in reps)
@@ -476,10 +468,8 @@ def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]) -> tuple[int, ...
     """Cached classes of x*u then x'*u, u in S, in the standard quotient,
     numbered in order of first appearance: a table presenting [x]S ∪ [x']S
     by its generators [x] and [x'], as _relations reads it."""
-    parent, n, first = _standard_merge(M, entries), M.size, {}
-    last = len(parent) - n
-    positions = (*range(n), *range(last, last + n))
-    return tuple(first.setdefault(find_root(parent, pos), len(first)) for pos in positions)
+    class_of, n, first = _standard_classes(M, entries)[0], M.size, {}
+    return tuple(first.setdefault(c, len(first)) for c in class_of[:n] + class_of[-n:])
 
 
 def induced_morphism(

@@ -297,15 +297,22 @@ def test_enumeration_matches_naive_filter(
     its laws x1·x2 = x2·x1 = 0, land on the later zero, which is already
     known as the product x1·x1 of assigned rows.  In z2 with an identity
     adjoined, labelled g before the group's identity f, the law g·f = g at
-    f lands on an assigned row that no two assigned rows multiply to."""
+    f lands on an assigned row that no two assigned rows multiply to.  In
+    forced3 the zero is the product e·a = a·e = a·a of three pairs of
+    assigned rows: it is read from the first and the others must agree."""
     from itertools import product as iproduct
 
     T2 = _full_transformations_2()
     omega2 = al.build("inverse_omega_chain", n=2)
     null3 = al.build("null_adjoined", n=3)
     z2_one = al.monoid_from_indices("z2_one", ["1", "g", "f"], [[0, 1, 2], [1, 2, 1], [2, 1, 2]], 0)
+    forced3 = al.monoid_from_indices(
+        "forced3", ["1", "e", "a", "0"],
+        [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]], 0,
+    )
     cases = [(z2, 4), (null2, 3), (natmin3, 3), (left_zero, 3), (T2, 3),
-             (semilattice22, 3), (z3, 3), (omega2, 3), (null3, 3), (z2_one, 3)]
+             (semilattice22, 3), (z3, 3), (omega2, 3), (null3, 3), (z2_one, 3),
+             (forced3, 3)]
     for M, k in cases:
         rows = list(iproduct(range(k), repeat=k))
         free = [i for i in range(M.size) if i != M.identity]

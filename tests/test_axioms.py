@@ -188,7 +188,7 @@ def test_act_axioms_characterize_valid_tables(z2, null2):
 
 def test_verify_axiomatisation_trivial(trivial):
     for cls in ("P", "E", "EP", "W", "PWP"):
-        report = al.verify_axiomatisation(trivial, cls, 3)
+        report = al.verify_axiomatisations(trivial, (cls,), 3)[0]
         assert report.ok and report.acts_checked == 3
 
 
@@ -198,17 +198,17 @@ def test_verify_axiomatisations_match_each_class(null2, natmin3):
     for M in (null2, natmin3):
         reports = al.verify_axiomatisations(M, classes, 3)
         assert [r.to_dict() for r in reports] == [
-            al.verify_axiomatisation(M, cls, 3).to_dict() for cls in classes
+            al.verify_axiomatisations(M, (cls,), 3)[0].to_dict() for cls in classes
         ]
 
 
 def test_verify_axiomatisation_z2_w(z2):
-    report = al.verify_axiomatisation(z2, "W", 4)
+    report = al.verify_axiomatisations(z2, ("W",), 4)[0]
     assert report.ok and report.acts_checked == 17
 
 
 def test_verify_axiomatisation_null2_pwp(null2):
-    report = al.verify_axiomatisation(null2, "PWP", 3)
+    report = al.verify_axiomatisations(null2, ("PWP",), 3)[0]
     assert report.ok
     # the sweep includes acts that fail the condition
     assert any(

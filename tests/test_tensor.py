@@ -21,6 +21,7 @@ from actalab.tensor import (
 )
 from helpers import (
     find_tossing_oracle,
+    elementary_tensor,
     first_broken_delta,
     free_right_act,
     least_witnesses_brute,
@@ -245,11 +246,13 @@ def test_composed_gamma_relations_match_gamma_pairs(natmin3):
 
 def test_oracle_equivalence_small(null2, natmin3):
     """Tensor classes agree with find_tossing on every pair of pairs, and
-    every tossing found validates."""
+    every tossing found validates.  The product is the merge over A x B on
+    all elementary pairs, with the classes numbered by their first pair."""
     for M in (null2, natmin3):
         acts_l = list(al.enumerate_acts(M, "left", 2))
         for A, B in product(al.enumerate_acts(M, "right", 2), acts_l):
             T = al.tensor_product(A, B)
+            assert T == elementary_tensor(A, B)
             pairs = list(product(A.carrier(), B.carrier()))
             for (a, b), (a2, b2) in product(pairs, repeat=2):
                 toss = al.find_tossing(A, B, a, b, a2, b2)
