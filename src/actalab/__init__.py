@@ -20,7 +20,6 @@ from .axioms import (
     emit_axioms,
     model_check,
     sentence_to_text,
-    torsion_free_axioms,
     verify_axiomatisations,
 )
 from .conditions import (
@@ -38,7 +37,6 @@ from .monoid import (
     RightIdeal,
     R_set,
     ideal_intersection,
-    is_left_cancellable,
     min_generating_set,
     monoid_from_indices,
     principal_right_ideal,

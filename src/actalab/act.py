@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -197,7 +197,7 @@ def congruence_closure(act: Act, seed_pairs: Iterable[tuple[int, int]]) -> ActCo
 def enumerate_acts(
     M: FiniteMonoid, side: str, max_size: int, distinct: bool = False
 ) -> Iterator[Act]:
-    """Yield every act on carriers of size 1..max_size, in deterministic order.
+    """Stream every act on carriers of size 1..max_size, in deterministic order.
 
     Rows (one per non-identity element) are assigned in element order, so
     tables come in lexicographic order.  Writing f∘g for the row f applied
@@ -215,8 +215,10 @@ def enumerate_acts(
         raise ValidationError("max_size must be at least 1")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    for k in range(1, max_size + 1):
-        yield from _enumerate_size(M, side, k, distinct)
+    # checked before the stream is returned, so that a stream never read fails too
+    return chain.from_iterable(
+        _enumerate_size(M, side, k, distinct) for k in range(1, max_size + 1)
+    )
 
 
 def _rows_squaring_to(

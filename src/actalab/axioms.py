@@ -29,7 +29,7 @@ from typing import Iterator
 from .act import Act, enumerate_acts
 from .conditions import INTERPOLATION_CLASSES, _structures, check_condition
 from .errors import SideMismatchError, ValidationError
-from .monoid import FiniteMonoid, left_cancellable_elements
+from .monoid import FiniteMonoid
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ def _t(var: str, *word: int) -> Term:
     return Term(tuple(word), var)
 
 
-def _eq(lhs: Term, rhs: Term) -> Equation:
-    return Equation(lhs, rhs)
-
-
 @lru_cache(maxsize=8)
 def act_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
     """The act laws (∀x)(1x = x) and all (∀x)(s(t(x)) = (st)x), one tuple per monoid."""
@@ -93,7 +89,7 @@ def act_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
             "unit",
             ("x",),
             "equation",
-            _eq(_t("x", M.identity), _t("x")),
+            Equation(_t("x", M.identity), _t("x")),
         )
     ]
     for s in M.elements():
@@ -103,26 +99,9 @@ def act_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
                     f"assoc[{names[s]},{names[t]}]",
                     ("x",),
                     "equation",
-                    _eq(_t("x", s, t), _t("x", M.mul[s][t])),
+                    Equation(_t("x", s, t), _t("x", M.mul[s][t])),
                 )
             )
-    return tuple(out)
-
-
-def torsion_free_axioms(M: FiniteMonoid) -> tuple[Sentence, ...]:
-    """Act laws plus (∀x)(∀y)(sx = sy → x = y) for left cancellable s."""
-    out = list(act_axioms(M))
-    for s in left_cancellable_elements(M):
-        out.append(
-            Sentence(
-                f"cancel[{M.label(s)}]",
-                ("x", "y"),
-                "implication",
-                antecedent=(_eq(_t("x", s), _t("y", s)),),
-                exists=(),
-                consequent=((_eq(_t("x"), _t("y")),),),
-            )
-        )
     return tuple(out)
 
 
@@ -146,13 +125,13 @@ def emit_axioms(M: FiniteMonoid, class_id: str) -> AxiomSet:
     for (s, t), gen_pairs in _structures(cid, M).items():
         params = [names[t]] if cls.diagonal else [names[s], names[t]]
         name = f"{cid}[{','.join(params)}]"
-        trigger = _eq(_t(x, s), _t(y, t))
+        trigger = Equation(_t(x, s), _t(y, t))
         if gen_pairs:
             sides = [
                 _t(v, p) if cls.scaled else _t(v) for v, p in zip(cls.trigger, (s, t))
             ]
             consequent = tuple(
-                tuple(_eq(side, _t("z", u)) for side, u in zip(sides, pair))
+                tuple(Equation(side, _t("z", u)) for side, u in zip(sides, pair))
                 for pair in gen_pairs
             )
             sentences.append(

@@ -512,10 +512,7 @@ def run_command(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ActalabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ActalabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -180,14 +180,9 @@ def R_set(M: FiniteMonoid, s: int, t: int) -> PairSubact:
     return PairSubact(M, pairs)
 
 
-def is_left_cancellable(M: FiniteMonoid, s: int) -> bool:
-    """True iff sa = sb forces a = b."""
-    row = M.mul[s]
-    return len(set(row)) == M.size
-
-
 def left_cancellable_elements(M: FiniteMonoid) -> tuple[int, ...]:
-    return tuple(s for s in M.elements() if is_left_cancellable(M, s))
+    """The s for which sa = sb forces a = b: in a finite monoid, the units."""
+    return tuple(s for s in M.elements() if len(set(M.mul[s])) == M.size)
 
 
 Structure = Union[RightIdeal, PairSubact]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from actalab.errors import (
     CompatibilityError,
     EmptyCarrierError,
     IdentityLawError,
+    ValidationError,
 )
 from conftest import build_zoo
 from helpers import (
@@ -60,6 +63,30 @@ def test_compatibility_failure(z2, left_zero):
 def test_empty_carrier(z2):
     with pytest.raises(EmptyCarrierError):
         al.validate_act(z2, "left", [], [[], []])
+
+
+def test_act_input_diagnostics(z2):
+    """Each malformed act input is refused with the message that names it."""
+    cases = [
+        (("up", ["p"], [[0], [0]]), "side must be 'left' or 'right', got 'up'"),
+        (("left", ["p", "p"], [[0, 1], [0, 1]]), "carrier labels must be distinct"),
+        (("left", ["p"], [[0]]), "action table is not total"),
+        (("left", ["p", "q"], [[0, 1], [1]]), "action table is not total"),
+        (("left", ["p"], [[0], [1]]), "action entry 1 out of range"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            al.validate_act(z2, *args)
+    act = al.regular_act(z2, "left")
+    with pytest.raises(ValidationError, match="'z' is not in the carrier"):
+        act.index("z")
+    with pytest.raises(ValidationError, match="seed pair outside the carrier"):
+        al.congruence_closure(act, [(0, 2)])
+    # refused when the stream is made, before anything reads it
+    with pytest.raises(ValidationError, match="max_size must be at least 1"):
+        al.enumerate_acts(z2, "left", 0)
+    with pytest.raises(ValidationError, match="side must be 'left' or 'right'"):
+        al.enumerate_acts(z2, "up", 2)
 
 
 def test_free_act_one_generator_is_regular(zoo_monoids):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import actalab as al
+from actalab import zoo
 from actalab.cli import run_command
 from actalab.serialize import act_to_dict, dump_json, monoid_to_dict
 
@@ -21,6 +22,18 @@ def z2_acts(tmp_path, z2):
     dump_json(act_to_dict(al.regular_act(z2, "left")), left)
     dump_json(act_to_dict(al.regular_act(z2, "right")), right)
     return str(left), str(right)
+
+
+@pytest.fixture()
+def null2_pwp_failure(tmp_path, null2):
+    """Files of null2 and of its first left act that fails (PWP), and that act."""
+    mfile, afile = tmp_path / "null2.json", tmp_path / "bad_act.json"
+    dump_json(monoid_to_dict(null2), mfile)
+    bad = next(
+        B for B in al.enumerate_acts(null2, "left", 3) if not al.check_condition(B, "PWP").holds
+    )
+    dump_json(act_to_dict(bad), afile)
+    return str(mfile), str(afile), bad
 
 
 def test_monoid_validate_ok(z2_file, capsys):
@@ -49,30 +62,30 @@ def test_act_validate(z2_file, z2_acts, capsys):
     assert run_command(["act", "validate", left, "--monoid", z2_file]) == 0
 
 
-def test_check_condition_exit_codes(z2_file, z2_acts, tmp_path, null2, capsys):
+def test_check_condition_exit_codes(z2_file, z2_acts, null2_pwp_failure, capsys):
     left, _ = z2_acts
-    assert run_command(
-        ["check", "--condition", "w", "--act", left, "--monoid", z2_file]
-    ) == 0
-    capsys.readouterr()
-    null_file = tmp_path / "null2.json"
-    dump_json(monoid_to_dict(null2), null_file)
-    bad_act = next(
-        B
-        for B in al.enumerate_acts(null2, "left", 3)
-        if not al.check_condition(B, "PWP").holds
-    )
-    act_file = tmp_path / "bad_act.json"
-    dump_json(act_to_dict(bad_act), act_file)
+    for cond in ("w", "pwf", "wf"):
+        assert run_command(
+            ["check", "--condition", cond, "--act", left, "--monoid", z2_file]
+        ) == 0
+        assert capsys.readouterr().out == f"{cond.upper()}: holds\n"
+    null_file, act_file, bad_act = null2_pwp_failure
     code = run_command(
         [
-            "check", "--condition", "pwp", "--act", str(act_file),
-            "--monoid", str(null_file), "--json",
+            "check", "--condition", "pwp", "--act", act_file,
+            "--monoid", null_file, "--json",
         ]
     )
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "fails" and "witness" in out
+    # PWF and WF fail on this act too, with the deciders' own witnesses
+    for cond, report in (("pwf", al.check_pwf(bad_act)), ("wf", al.check_wf(bad_act))):
+        argv = ["check", "--condition", cond, "--act", act_file, "--monoid", null_file]
+        assert run_command(argv + ["--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == report.to_dict()
+        assert run_command(argv) == 1
+        assert capsys.readouterr().out.startswith(f"{report.condition}: fails\n  witness: ")
 
 
 def test_tossing_command(z2_file, z2_acts, capsys):
@@ -86,6 +99,13 @@ def test_tossing_command(z2_file, z2_acts, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["connected"] and data["tossing"]["from"] == ["g", "1"]
+    # 1 ⊗ 1 and 1 ⊗ g differ in S ⊗ S ≅ S: no tossing, exit 1
+    argv = ["tossing", "--monoid", z2_file, "--right-act", right,
+            "--left-act", left, "--from", "1,1", "--to", "1,g"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().out == "(1,1) and (1,g) are not tensor-equal\n"
+    assert run_command(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"connected": False}
 
 
 def test_tensor_command(z2_file, z2_acts, capsys):
@@ -183,6 +203,22 @@ def test_axioms_emit_and_modelcheck(z2_file, z2_acts, tmp_path, capsys):
         assert key in captured.err and name in captured.err, captured.err
 
 
+def test_axioms_modelcheck_lists_failures(null2_pwp_failure, tmp_path, capsys):
+    mfile, afile, _ = null2_pwp_failure
+    sfile = str(tmp_path / "pwp.json")
+    assert run_command(["axioms", "emit", "--class", "pwp", "--monoid", mfile, "-o", sfile]) == 0
+    capsys.readouterr()
+    argv = ["axioms", "modelcheck", "--act", afile, "--monoid", mfile, "--sentences", sfile]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().out == "fails PWP[x1] at {'x': 'a0', \"x'\": 'a1'}\n"
+    assert run_command(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "sentences": 13,
+        "satisfied": False,
+        "failures": [{"sentence": "PWP[x1]", "assignment": {"x": "a0", "x'": "a1"}}],
+    }
+
+
 def test_axioms_verify(z2_file, capsys):
     assert run_command(
         ["axioms", "verify", "--class", "pwp", "--monoid", z2_file,
@@ -204,7 +240,7 @@ def test_axioms_verify(z2_file, capsys):
     assert text == singles
 
 
-def test_replace_commands(z2_file, z2_acts, capsys):
+def test_replace_commands(z2_file, z2_acts, z2, capsys):
     left, _ = z2_acts
     assert run_command(
         ["replace", "compute", "--class", "p", "--monoid", z2_file,
@@ -212,11 +248,34 @@ def test_replace_commands(z2_file, z2_acts, capsys):
     ) == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["skeletons"]) == 1
+    # r(1,g) = {u : u = g·u} is empty in a group
+    assert run_command(
+        ["replace", "compute", "--class", "e", "--monoid", z2_file,
+         "--s", "1", "--t", "g"]
+    ) == 0
+    assert capsys.readouterr().out == (
+        "trigger ['1', '1', 'g', '1']\n"
+        "  (empty replacement set: underlying structure is empty)\n"
+    )
     assert run_command(
         ["replace", "verify", "--class", "w", "--monoid", z2_file,
          "--act", left]
     ) == 0
     capsys.readouterr()
+    # --s alone verifies the pair (s, s); with --t, the pair (s, t)
+    assert run_command(
+        ["replace", "verify", "--class", "w", "--monoid", z2_file,
+         "--act", left, "--s", "g"]
+    ) == 0
+    assert capsys.readouterr().out == "(g,g): ok, 2 instances\n"
+    assert run_command(
+        ["replace", "verify", "--class", "p", "--monoid", z2_file,
+         "--act", left, "--s", "1", "--t", "g", "--json"]
+    ) == 0
+    B = al.regular_act(z2, "left")
+    assert json.loads(capsys.readouterr().out) == {
+        "class": "P", "reports": [al.verify_replacement(B, 0, 1, "P").to_dict()],
+    }
     assert run_command(
         ["replace", "verify", "--class", "p", "--monoid", z2_file,
          "--act", left, "--t", "g"]
@@ -243,6 +302,15 @@ def test_zoo_build_and_report(tmp_path, capsys):
     ) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--range" in captured.err
+    assert run_command(["zoo", "families"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert text == ["families:"] + [f"  {f}" for f in zoo.FAMILIES] + ["excluded:"] + [
+        f"  {name}: {why}" for name, why in zoo.EXCLUSIONS.items()
+    ]
+    assert run_command(["zoo", "families", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "families": list(zoo.FAMILIES), "excluded": zoo.EXCLUSIONS,
+    }
 
 
 def test_zoo_guards(monkeypatch, capsys):
@@ -297,6 +365,20 @@ def test_enumerate_jsonl(z2_file, capsys):
          "--max-size", "2", "--limit", "-1"]
     ) == 2
     assert "--limit" in capsys.readouterr().err
+    # --limit N prints the first N acts of the stream
+    argv = ["enumerate", "--monoid", z2_file, "--side", "left"]
+    assert run_command(argv + ["--max-size", "3"]) == 0
+    every = capsys.readouterr().out.splitlines(keepends=True)
+    for limit in (0, 2, 7, 9):
+        assert run_command(argv + ["--max-size", "3", "--limit", str(limit)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "".join(every[:limit])
+        assert captured.err == f"# {min(limit, 7)} acts\n"
+    # a bad size is refused even when --limit 0 reads no act
+    for size in ("0", "-3"):
+        assert run_command(argv + ["--max-size", size, "--limit", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_size must be at least 1" in captured.err
 
 
 def test_enumeration_guard_names_the_exponential_term(
@@ -427,21 +509,10 @@ def test_round_trip_cli_artifacts(tmp_path, capsys):
     assert sentences == al.emit_axioms(M, "E").sentences
 
 
-def test_replace_verify_inapplicable_exits_2(tmp_path, null2, capsys):
-    from actalab.serialize import dump_json, monoid_to_dict, act_to_dict
-
-    mfile = tmp_path / "null2.json"
-    dump_json(monoid_to_dict(null2), mfile)
-    bad = next(
-        B
-        for B in al.enumerate_acts(null2, "left", 3)
-        if not al.check_condition(B, "PWP").holds
-    )
-    afile = tmp_path / "bad.json"
-    dump_json(act_to_dict(bad), afile)
+def test_replace_verify_inapplicable_exits_2(null2_pwp_failure):
+    mfile, afile, _ = null2_pwp_failure
     code = run_command(
-        ["replace", "verify", "--class", "pwp", "--monoid", str(mfile),
-         "--act", str(afile)]
+        ["replace", "verify", "--class", "pwp", "--monoid", mfile, "--act", afile]
     )
     assert code == 2
 
@@ -498,6 +569,24 @@ def test_malformed_monoid_and_act_json_name_the_key(z2_file, z2_acts, tmp_path, 
         assert run_command(["act", "validate", str(bad), "--monoid", z2_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err, captured.err
+
+    # well-typed files whose labels do not fit: the message names the label
+    without_g = dict(act["action"])
+    del without_g["g"]
+    label_cases = [
+        ("monoid", edited(monoid, "identity", "e"), "identity label 'e' not among elements"),
+        ("monoid", edited(monoid, ("table", 1), ["g", "h"]), "table entry 'h' is not an element"),
+        ("act", edited(act, "action", without_g), "action row for 'g' missing"),
+        ("act", edited(act, ("action", "g"), ["g"]), "action row for 'g' has wrong length"),
+        ("act", edited(act, ("action", "g"), ["g", "h"]), "action value 'h' not in carrier"),
+    ]
+    for verb, data, message in label_cases:
+        bad.write_text(json.dumps(data))
+        argv = ["act", "validate", str(bad), "--monoid", z2_file] if verb == "act" else [
+            "monoid", "validate", str(bad)]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", captured.err
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):

@@ -4,7 +4,8 @@ import json
 import pytest
 
 import actalab as al
-from actalab.errors import UnknownConditionError
+from actalab.errors import UnknownConditionError, ValidationError
+from actalab.monoid import left_cancellable_elements
 from helpers import (
     _c_flat,
     all_right_ideals,
@@ -55,6 +56,23 @@ def test_all_fail_witnesses_revalidate(null2, natmin3):
                         B.table,
                         report.witness,
                     )
+
+
+def test_every_act_is_torsion_free(zoo_monoids, left_zero):
+    """TF is answered without a scan: in a finite monoid the left-cancellable
+    elements are the units, and a unit's row is injective on every act.
+    Both are checked from the definitions over every act of size <=4 (<=3
+    when |S| > 4)."""
+    for M in list(zoo_monoids) + [left_zero, al.build("null_adjoined", n=3)]:
+        e, mul = M.identity, M.mul
+        units = tuple(
+            s for s in M.elements() if any(mul[s][u] == e == mul[u][s] for u in M.elements())
+        )
+        cancellable = tuple(s for s in M.elements() if len(set(mul[s])) == M.size)
+        assert left_cancellable_elements(M) == cancellable == units, M.name
+        for B in al.enumerate_acts(M, "left", 4 if M.size <= 4 else 3):
+            assert all(len(set(B.table[s])) == B.size for s in units), (M.name, B.table)
+            assert al.check_condition(B, "TF").verdict == "holds"
 
 
 def _is_interpolant(B, cond, inst) -> bool:
@@ -283,6 +301,8 @@ def test_flat_bounded_regular_act(zoo_monoids):
         report = al.check_flat_bounded(B, 2)
         assert report.verdict == "passes-up-to-bound"
         assert report.details["m_max"] == 2
+        with pytest.raises(ValidationError, match="flatness bound must be at least 1"):
+            al.check_flat_bounded(B, 0)
 
 
 def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):

@@ -9,6 +9,7 @@ from actalab.errors import (
     ElementNotFoundError,
     MonoidMismatchError,
     SideMismatchError,
+    ValidationError,
     WitnessesInvalidError,
 )
 from actalab.tensor import (
@@ -59,8 +60,10 @@ def test_one_point_right_act_tensor(z2):
 def test_tensor_side_and_monoid_mismatch(z2, z3):
     L = al.regular_act(z2, "left")
     R = al.regular_act(z2, "right")
-    with pytest.raises(SideMismatchError):
+    with pytest.raises(SideMismatchError, match="first tensor factor must be a right act"):
         al.tensor_product(L, L)
+    with pytest.raises(SideMismatchError, match="second tensor factor must be a left act"):
+        al.tensor_product(R, R)
     with pytest.raises(MonoidMismatchError):
         al.tensor_product(R, al.regular_act(z3, "left"))
 
@@ -397,6 +400,12 @@ def test_induced_morphism_rejects_bad_witnesses(z2):
     S = al.regular_act(z2, "right")
     with pytest.raises(WitnessesInvalidError):
         al.induced_morphism(z2, Skeleton((1, 1)), S, (0, 1))
+    # a chain of the wrong length, or a left target, is refused before any read
+    for chain in ((0,), (0, 0, 0)):
+        with pytest.raises(WitnessesInvalidError, match="at position -1"):
+            al.induced_morphism(z2, Skeleton((0, 0)), S, chain)
+    with pytest.raises(SideMismatchError, match="induced morphism lands in a right act"):
+        al.induced_morphism(z2, Skeleton((0, 0)), al.regular_act(z2, "left"), (0, 0))
 
 
 def test_induced_morphism_rejects_other_monoid(z2, null2):
@@ -443,7 +452,11 @@ def test_induced_morphism_every_chain(z2, null2, natmin3):
 def test_skeleton_entries_outside_monoid(z2, null2, natmin3):
     """A skeleton entry -1 or |S| is not an element: the standard quotient,
     its [x]S ∪ [x']S table, the induced morphism and the zigzag functions
-    refuse it instead of wrapping or indexing past the table."""
+    refuse it instead of wrapping or indexing past the table.  A skeleton of
+    odd length or none is refused as it is made."""
+    for entries in ((), (0,), (0, 1, 0)):
+        with pytest.raises(ValidationError, match="skeleton needs even length >= 2"):
+            Skeleton(entries)
     for M in (z2, null2, natmin3):
         S = al.regular_act(M, "right")
         B = al.regular_act(M, "left")
