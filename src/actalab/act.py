@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -209,7 +209,9 @@ def enumerate_acts(
     each candidate.  With distinct=True only the lexicographically-canonical
     member of each isomorphism class is emitted: the search is orderly,
     cutting a prefix as soon as some carrier relabelling maps it onto a
-    smaller one (McKay, J. Algorithms 26, 1998).
+    smaller one (McKay, J. Algorithms 26, 1998).  The first row is decided
+    by a search over partial relabellings; its automorphisms, the leaves of
+    that search, are the only relabellings the later rows are scanned by.
     """
     if max_size < 1:
         raise ValidationError("max_size must be at least 1")
@@ -349,8 +351,8 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     # r^p[p(a)] = p(r[a]), and fixes the identity row.  Rows are assigned in
     # the table's lexicographic order, so once some p maps the assigned
     # prefix onto a smaller one, no completion is canonical.  `stab` holds
-    # the relabellings that map the prefix onto itself: only they can still
-    # make a later row smaller.
+    # the relabellings that map the prefix onto itself, which alone can make
+    # a later row smaller; it is empty at the first row, fixed by all k!.
     def backtrack(pos: int, stab) -> Iterator[Act]:
         if pos == len(order):
             yield Act(M, side, names, tuple(rows))  # type: ignore[arg-type]
@@ -364,21 +366,46 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
             if stab is None:
                 yield from backtrack(pos + 1, None)
                 continue
-            kept = []
+            kept = [] if pos else _automorphisms(cand)
             for perm, inv in stab:
                 image = tuple([perm[cand[i]] for i in inv])
                 if image < cand:
+                    kept = None
                     break
                 if image == cand:
                     kept.append((perm, inv))
-            else:
+            if kept is not None:
                 yield from backtrack(pos + 1, kept)
         rows[x] = None
 
-    relabellings = None
-    if distinct:  # each with its inverse
-        relabellings = [
-            (perm, [perm.index(b) for b in range(k)])
-            for perm in permutations(range(k))
-        ]
-    yield from backtrack(0, relabellings)
+    yield from backtrack(0, () if distinct else None)
+
+
+def _automorphisms(row: Sequence[int]) -> list | None:
+    """The relabellings (p, p^-1) with row^p = row, or None once some p gives
+    row^p < row.  Filling p^-1 in order, y at i gives row^p[i] = p(row[y]) if
+    row[y] is placed, else a later position: only i+1 can tie with row[i]."""
+    # position 0 without the search: a fixed point there gives row^p[0] = 0
+    if row[0] > 1 or row[0] == 1 and any(v == a for a, v in enumerate(row)):
+        return None
+    k = len(row)
+    found: list = []
+    return found if _place(row, [None] * k, [None] * k, found, 0, range(k)) else None
+
+
+def _place(row, perm: list, inv: list, found: list, i: int, points) -> bool:
+    """Place each free y of `points` at position i; False once one gives
+    row^p < row.  Not a closure, whose self-reference would need the GC."""
+    if i == len(row):
+        found.append((perm[:], inv[:]))
+        return True
+    for y in points:
+        if perm[y] is None:
+            perm[y], inv[i] = i, y
+            at, later = perm[row[y]], range(len(row))
+            if at is None:
+                at, later = i + 1, (row[y],)
+            if at < row[i] or at == row[i] and not _place(row, perm, inv, found, i + 1, later):
+                return False
+            perm[y] = inv[i] = None
+    return True

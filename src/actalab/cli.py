@@ -87,9 +87,9 @@ def _guard(n_s: int, n_a: int, n_b: int):
 
 def _guard_enumeration(n_s: int, k: int, distinct: bool):
     """Besides |S|^2*k^2, the exponential terms of enumerating every act up
-    to size k: the row candidates at the largest size and, for one act per
-    isomorphism class, the carrier relabellings.  The first term bounds k
-    before k^k is computed; a k below 1 is left to `enumerate_acts`."""
+    to size k: the row candidates at the largest size and, with --distinct,
+    the k! relabellings, all of which fix the identity row.  The first term
+    bounds k before k^k is computed; k below 1 is left to `enumerate_acts`."""
     _guard(n_s, k, k)
     if k >= 1:
         _check_estimate("(|S|-1)*k^k", (n_s - 1) * k**k)
@@ -380,134 +380,137 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of `verb` alone when it names one."""
     p = argparse.ArgumentParser(
         prog="actalab",
         description="finite monoids, acts, tensor products and their conditions",
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
+    def add(name, text):  # None for a verb that is not built
+        return sub.add_parser(name, help=text) if verb in (None, name) else None
+
     def add_json(sp):
         sp.add_argument("--json", action="store_true", help="machine output")
 
-    sp = sub.add_parser("monoid", help="validate a monoid file")
-    msub = sp.add_subparsers(dest="action", required=True)
-    v = msub.add_parser("validate")
-    v.add_argument("file")
-    add_json(v)
-    v.set_defaults(func=_cmd_monoid_validate)
+    if sp := add("monoid", "validate a monoid file"):
+        v = sp.add_subparsers(dest="action", required=True).add_parser("validate")
+        v.add_argument("file")
+        add_json(v)
+        v.set_defaults(func=_cmd_monoid_validate)
 
-    sp = sub.add_parser("act", help="validate an act file")
-    asub = sp.add_subparsers(dest="action", required=True)
-    v = asub.add_parser("validate")
-    v.add_argument("file")
-    v.add_argument("--monoid", required=True)
-    add_json(v)
-    v.set_defaults(func=_cmd_act_validate)
+    if sp := add("act", "validate an act file"):
+        v = sp.add_subparsers(dest="action", required=True).add_parser("validate")
+        v.add_argument("file")
+        v.add_argument("--monoid", required=True)
+        add_json(v)
+        v.set_defaults(func=_cmd_act_validate)
 
-    v = sub.add_parser("tensor", help="compute a tensor product")
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--right-act", required=True)
-    v.add_argument("--left-act", required=True)
-    add_json(v)
-    v.set_defaults(func=_cmd_tensor)
+    if v := add("tensor", "compute a tensor product"):
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--right-act", required=True)
+        v.add_argument("--left-act", required=True)
+        add_json(v)
+        v.set_defaults(func=_cmd_tensor)
 
-    v = sub.add_parser("tossing", help="connect two pairs by a tossing")
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--right-act", required=True)
-    v.add_argument("--left-act", required=True)
-    v.add_argument("--from", dest="src", required=True, metavar="A,B")
-    v.add_argument("--to", dest="dst", required=True, metavar="A,B")
-    add_json(v)
-    v.set_defaults(func=_cmd_tossing)
+    if v := add("tossing", "connect two pairs by a tossing"):
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--right-act", required=True)
+        v.add_argument("--left-act", required=True)
+        v.add_argument("--from", dest="src", required=True, metavar="A,B")
+        v.add_argument("--to", dest="dst", required=True, metavar="A,B")
+        add_json(v)
+        v.set_defaults(func=_cmd_tossing)
 
-    v = sub.add_parser("check", help="decide a condition on an act")
-    v.add_argument("--condition", required=True,
-                   choices=[c.lower() for c in CONDITION_IDS] + ["pwf", "wf", "flat"])
-    v.add_argument("--act", required=True)
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--flat-bound", type=int, default=2)
-    v.add_argument("--witnesses", action="store_true")
-    add_json(v)
-    v.set_defaults(func=_cmd_check)
+    if v := add("check", "decide a condition on an act"):
+        v.add_argument("--condition", required=True,
+                       choices=[c.lower() for c in CONDITION_IDS] + ["pwf", "wf", "flat"])
+        v.add_argument("--act", required=True)
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--flat-bound", type=int, default=2)
+        v.add_argument("--witnesses", action="store_true")
+        add_json(v)
+        v.set_defaults(func=_cmd_check)
 
-    sp = sub.add_parser("axioms", help="emit, model-check or verify sentence sets")
-    axsub = sp.add_subparsers(dest="action", required=True)
-    v = axsub.add_parser("emit")
-    v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
-    v.add_argument("--monoid", required=True)
-    v.add_argument("-o", "--out")
-    add_json(v)
-    v.set_defaults(func=_cmd_axioms_emit)
-    v = axsub.add_parser("modelcheck")
-    v.add_argument("--act", required=True)
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--sentences", required=True)
-    add_json(v)
-    v.set_defaults(func=_cmd_axioms_modelcheck)
-    v = axsub.add_parser("verify")
-    v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in INTERPOLATION_CLASSES] + ["all"])
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--max-size", type=int, required=True)
-    add_json(v)
-    v.set_defaults(func=_cmd_axioms_verify)
+    if sp := add("axioms", "emit, model-check or verify sentence sets"):
+        axsub = sp.add_subparsers(dest="action", required=True)
+        v = axsub.add_parser("emit")
+        v.add_argument("--class", dest="cls", required=True,
+                       choices=[c.lower() for c in INTERPOLATION_CLASSES])
+        v.add_argument("--monoid", required=True)
+        v.add_argument("-o", "--out")
+        add_json(v)
+        v.set_defaults(func=_cmd_axioms_emit)
+        v = axsub.add_parser("modelcheck")
+        v.add_argument("--act", required=True)
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--sentences", required=True)
+        add_json(v)
+        v.set_defaults(func=_cmd_axioms_modelcheck)
+        v = axsub.add_parser("verify")
+        v.add_argument("--class", dest="cls", required=True,
+                       choices=[c.lower() for c in INTERPOLATION_CLASSES] + ["all"])
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--max-size", type=int, required=True)
+        add_json(v)
+        v.set_defaults(func=_cmd_axioms_verify)
 
-    sp = sub.add_parser("replace", help="replacement skeleton sets")
-    rsub = sp.add_subparsers(dest="action", required=True)
-    v = rsub.add_parser("compute")
-    v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--s", required=True)
-    v.add_argument("--t")
-    add_json(v)
-    v.set_defaults(func=_cmd_replace_compute)
-    v = rsub.add_parser("verify")
-    v.add_argument("--class", dest="cls", required=True,
-                   choices=[c.lower() for c in INTERPOLATION_CLASSES])
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--act", required=True)
-    v.add_argument("--s")
-    v.add_argument("--t")
-    add_json(v)
-    v.set_defaults(func=_cmd_replace_verify)
+    if sp := add("replace", "replacement skeleton sets"):
+        rsub = sp.add_subparsers(dest="action", required=True)
+        v = rsub.add_parser("compute")
+        v.add_argument("--class", dest="cls", required=True,
+                       choices=[c.lower() for c in INTERPOLATION_CLASSES])
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--s", required=True)
+        v.add_argument("--t")
+        add_json(v)
+        v.set_defaults(func=_cmd_replace_compute)
+        v = rsub.add_parser("verify")
+        v.add_argument("--class", dest="cls", required=True,
+                       choices=[c.lower() for c in INTERPOLATION_CLASSES])
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--act", required=True)
+        v.add_argument("--s")
+        v.add_argument("--t")
+        add_json(v)
+        v.set_defaults(func=_cmd_replace_verify)
 
-    sp = sub.add_parser("zoo", help="build example monoids and growth reports")
-    zsub = sp.add_subparsers(dest="action", required=True)
-    v = zsub.add_parser("build")
-    v.add_argument("--family", required=True, choices=zoo.FAMILIES)
-    v.add_argument("--n", type=int)
-    v.add_argument("--g1", type=int, default=2)
-    v.add_argument("--g0", type=int, default=2)
-    v.add_argument("-o", "--out")
-    v.set_defaults(func=_cmd_zoo_build)
-    v = zsub.add_parser("report")
-    v.add_argument("--family", required=True, choices=zoo.FAMILIES)
-    v.add_argument("--range", required=True, metavar="LO..HI")
-    add_json(v)
-    v.set_defaults(func=_cmd_zoo_report)
-    v = zsub.add_parser("families")
-    add_json(v)
-    v.set_defaults(func=_cmd_zoo_families)
+    if sp := add("zoo", "build example monoids and growth reports"):
+        zsub = sp.add_subparsers(dest="action", required=True)
+        v = zsub.add_parser("build")
+        v.add_argument("--family", required=True, choices=zoo.FAMILIES)
+        v.add_argument("--n", type=int)
+        v.add_argument("--g1", type=int, default=2)
+        v.add_argument("--g0", type=int, default=2)
+        v.add_argument("-o", "--out")
+        v.set_defaults(func=_cmd_zoo_build)
+        v = zsub.add_parser("report")
+        v.add_argument("--family", required=True, choices=zoo.FAMILIES)
+        v.add_argument("--range", required=True, metavar="LO..HI")
+        add_json(v)
+        v.set_defaults(func=_cmd_zoo_report)
+        v = zsub.add_parser("families")
+        add_json(v)
+        v.set_defaults(func=_cmd_zoo_families)
 
-    v = sub.add_parser("enumerate", help="stream every act up to a size")
-    v.add_argument("--monoid", required=True)
-    v.add_argument("--side", required=True, choices=["left", "right"])
-    v.add_argument("--max-size", type=int, required=True)
-    v.add_argument("--distinct", action="store_true",
-                   help="emit one act per isomorphism class")
-    v.add_argument("--limit", type=int)
-    add_json(v)
-    v.set_defaults(func=_cmd_enumerate)
-    return p
+    if v := add("enumerate", "stream every act up to a size"):
+        v.add_argument("--monoid", required=True)
+        v.add_argument("--side", required=True, choices=["left", "right"])
+        v.add_argument("--max-size", type=int, required=True)
+        v.add_argument("--distinct", action="store_true",
+                       help="emit one act per isomorphism class")
+        v.add_argument("--limit", type=int)
+        add_json(v)
+        v.set_defaults(func=_cmd_enumerate)
+    return p if sub.choices else build_parser()
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:  # a top-level error, printed with the full tree's usage
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -489,10 +489,6 @@ def condition_violated(B, cond, witness) -> bool:
                     ):
                         return False
         return True
-    if cond == "TF":
-        s, a, b = lab[witness["s"]], cab[witness["a"]], cab[witness["b"]]
-        cancellable = len(set(M.mul[s])) == M.size
-        return cancellable and a != b and B.table[s][a] == B.table[s][b]
     raise AssertionError(f"no re-checker for {cond}")
 
 

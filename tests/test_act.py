@@ -1,10 +1,11 @@
 import re
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 import actalab as al
-from actalab.act import morphism_is_valid
+from actalab.act import _automorphisms, morphism_is_valid
 from actalab.errors import (
     CompatibilityError,
     EmptyCarrierError,
@@ -412,6 +413,31 @@ def test_distinct_class_counts_to_size_five(semilattice22):
     for M, counts in [(semilattice22, [1, 3, 6, 14, 27]), (omega2, [1, 3, 7, 17, 37])]:
         sizes = [a.size for a in al.enumerate_acts(M, "left", 5, distinct=True)]
         assert [sizes.count(k) for k in range(1, 6)] == counts
+
+
+def test_first_row_search_matches_every_relabelling():
+    """The first-row search against all k! relabellings, for every row on
+    k <= 5 points: None exactly when the row is not canonical, as
+    `canonical_table` decides, else the relabellings p with row^p = row,
+    where row^p[p(a)] = p(row[a])."""
+    for k in range(1, 6):
+        perms = list(permutations(range(k)))
+        for row in product(range(k), repeat=k):
+            found = _automorphisms(row)
+            if canonical_table((row,), k) != (row,):
+                assert found is None, row
+                continue
+            fixing = set()
+            for perm in perms:
+                image = [None] * k
+                for a in range(k):
+                    image[perm[a]] = perm[row[a]]
+                if tuple(image) == row:
+                    fixing.add(perm)
+            assert found is not None, row
+            assert sorted(tuple(perm) for perm, _ in found) == sorted(fixing), row
+            for perm, inv in found:
+                assert [perm[b] for b in inv] == list(range(k))
 
 
 def test_distinct_flag_counts_isomorphism_classes(z2, null2):

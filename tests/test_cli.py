@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 import actalab as al
 from actalab import zoo
-from actalab.cli import run_command
+from actalab.cli import build_parser, run_command
 from actalab.serialize import act_to_dict, dump_json, monoid_to_dict
 
 
@@ -635,3 +636,40 @@ def test_replace_verify_decides_the_class_once(tmp_path, natmin3, monkeypatch, c
         al.verify_replacement(B, s, t, "P").to_dict()
         for s in natmin3.elements() for t in natmin3.elements()
     ]
+
+
+def _run_full_tree(argv) -> int:
+    """A command parsed by every verb's parser, as `run_command` did when it
+    built the whole tree for each command."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return args.func(args)
+
+
+def test_one_verb_parser_prints_as_the_full_tree(z2_file, monkeypatch, capsys):
+    """`run_command` builds only the named verb's parser, yet help, usage
+    errors and output match the full tree's, top-level errors included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    (verbs,) = [a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    enum = ["enumerate", "--monoid", z2_file, "--side", "left", "--max-size", "2"]
+    argvs = [[], ["-h"], ["bogus"], ["bogus", "-h"], ["--json"]]
+    argvs += [[verb, "-h"] for verb in verbs]
+    argvs += [[verb] for verb in ("monoid", "act", "axioms", "replace", "zoo")]
+    argvs += [
+        ["enumerate", "--monoid", z2_file, "--side", "left"],
+        ["check", "--condition", "nope", "--act", "a.json", "--monoid", z2_file],
+        enum + ["--bogus"],
+        ["axioms", "emit", "-h"],
+        ["zoo", "families"],
+        enum,
+    ]
+    assert len(verbs) == 9
+    for argv in argvs:
+        code = run_command(argv)
+        got = capsys.readouterr()
+        assert _run_full_tree(argv) == code, argv
+        assert capsys.readouterr() == got, argv
+        assert got.out or got.err, argv

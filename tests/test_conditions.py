@@ -1,11 +1,16 @@
 import hashlib
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 import actalab as al
+from actalab.axioms import satisfies_all
+from actalab.conditions import INTERPOLATION_CLASSES
 from actalab.errors import UnknownConditionError, ValidationError
 from actalab.monoid import left_cancellable_elements
+from conftest import build_zoo
 from helpers import (
     _c_flat,
     all_right_ideals,
@@ -48,7 +53,7 @@ def test_pwp_counterexample_exists(null2):
 def test_all_fail_witnesses_revalidate(null2, natmin3):
     for M in (null2, natmin3):
         for B in al.enumerate_acts(M, "left", 3):
-            for cond in ("TF", "P", "E", "EP", "W", "PWP"):
+            for cond in ("P", "E", "EP", "W", "PWP"):
                 report = al.check_condition(B, cond)
                 if not report.holds:
                     assert condition_violated(B, cond, report.witness), (
@@ -373,3 +378,33 @@ def test_wf_failure_witness_is_genuine(null2):
         found += 1
         assert wf_witness_is_genuine(B, report.witness), (B.table, report)
     assert found > 0
+
+
+ZOO = build_zoo()
+
+
+@lru_cache(maxsize=None)
+def _left_acts(M):
+    return list(al.enumerate_acts(M, "left", 4))
+
+
+@given(st.data())
+def test_verdicts_do_not_depend_on_carrier_labelling(data):
+    """Relabelling an act's carrier keeps every verdict: the conditions, the
+    sentence sets, PWF, WF and bounded flatness are first-order properties.
+    This is why one act per isomorphism class can stand for its class."""
+    M = data.draw(st.sampled_from(ZOO))
+    B = data.draw(st.sampled_from(_left_acts(M)))
+    perm = data.draw(st.permutations(range(B.size)))
+    table = [[0] * B.size for _ in M.elements()]
+    for s in M.elements():
+        for a in B.carrier():
+            table[s][perm[a]] = perm[B.table[s][a]]
+    C = al.validate_act(M, "left", B.carrier_names, table)
+    for cond in ("P", "E", "EP", "W", "PWP", "SF"):
+        assert al.check_condition(C, cond).verdict == al.check_condition(B, cond).verdict
+    for cls in INTERPOLATION_CLASSES:
+        sentences = al.emit_axioms(M, cls).sentences
+        assert satisfies_all(C, sentences) == satisfies_all(B, sentences)
+    for check in (al.check_pwf, al.check_wf, lambda A: al.check_flat_bounded(A, 2)):
+        assert check(C).verdict == check(B).verdict

@@ -3,12 +3,14 @@
 Usage:  python tools/cli_corpus.py
 
 Each line holds the argv (file arguments are plain file names), the exit
-code and the sha256 of what the run wrote to stdout.  Two checkouts that
-print the same lines gave byte-identical primary output on every run, so
-diffing this script's output before and after a change checks that the
-change kept the CLI's output.  A run that raises instead of returning an
-exit code is printed with "1" and the exception's type, as the installed
-`actalab` command would exit 1 with a traceback.
+code and the sha256 of what the run wrote to stdout, then to stderr.  Two
+checkouts that print the same lines gave byte-identical output, help, usage
+and error text on every run, so diffing this script's output before and
+after a change checks that the change kept the CLI's output.  COLUMNS is
+set to 80 for every run, so that argparse wraps its text the same way on
+any terminal.  A run that raises instead of returning an exit code is
+printed with "1" and the exception's type, as the installed `actalab`
+command would exit 1 with a traceback.
 
 The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
@@ -22,7 +24,10 @@ monoid and act files, and the budget guards, `zoo build` and `zoo report`
 among them.  `enumerate` also runs over
 null_adjoined(3), whose zero is labelled after x1 and x2, so that a row's
 square lands on a later row, and `replace compute` runs once over
-null_adjoined(16), one pair of a large monoid.  The input files are written
+null_adjoined(16), one pair of a large monoid.  Usage runs cover the
+top-level help and errors (no arguments, -h, an unknown verb), every verb
+with -h, each verb with actions named without one, a missing required
+option, an invalid choice and an unrecognized trailing argument.  The input files are written
 to a temporary directory, which is also the working directory of the runs.
 Only the standard library and the package under src/ are used; the script
 takes no options and its output does not depend on the machine.
@@ -63,16 +68,16 @@ def run(argv, env=None):
     """Run one invocation, with `env` added to the environment, and print
     its line."""
     env = env or {}
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80", **env}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = str(run_command(argv))
     except Exception as exc:  # the installed command would exit 1 here
         code = f"1 {type(exc).__name__}"
     prefix = "".join(f"{k}={v} " for k, v in env.items())
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    print(f"{prefix}{' '.join(argv)} -> {code} {digest}")
+    digests = (hashlib.sha256(f.getvalue().encode("utf-8")).hexdigest() for f in (out, err))
+    print(f"{prefix}{' '.join(argv)} -> {code} {' '.join(digests)}")
 
 
 def every(items, count):
@@ -165,6 +170,23 @@ def enumerate_runs(mfile, side):
         run(base + ["--distinct"])
 
 
+def usage(mfile):
+    """Help and usage errors, top-level and per verb."""
+    verbs = ("monoid", "act", "tensor", "tossing", "check", "axioms", "replace", "zoo",
+             "enumerate")
+    run([])
+    run(["-h"])
+    run(["bogus"])
+    for verb in verbs:
+        run([verb, "-h"])
+    for verb in ("monoid", "act", "axioms", "replace", "zoo"):
+        run([verb])
+    run(["axioms", "verify", "-h"])
+    run(["enumerate", "--monoid", mfile, "--side", "left"])
+    run(["check", "--condition", "nope", "--act", "a.json", "--monoid", mfile])
+    run(["enumerate", "--monoid", mfile, "--side", "left", "--max-size", "2", "--bogus"])
+
+
 def malformed(z2):
     """Monoid and act files with a mistyped key, and the budget guards."""
     good_monoid = monoid_to_dict(z2)
@@ -238,6 +260,7 @@ def main():
             run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4", "--json"])
             run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"])
             malformed(monoids[1])
+            usage("m1.json")
         finally:
             os.chdir(cwd)
 
