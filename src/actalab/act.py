@@ -264,7 +264,9 @@ def _enumerate_size(M: FiniteMonoid, side: str, k: int, distinct: bool) -> Itera
     mul = M.mul
     left = side == "left"
     names = tuple(f"a{i}" for i in range(k))
-    if not order:  # the trivial monoid: its one act is canonical
+    # the trivial monoid's one act, returned before the 2^k-entry `points_in`
+    # table below: when |S| = 1 the CLI guard bounds k only by k^2 <= its budget
+    if not order:
         yield Act(M, side, names, (tuple(range(k)),))
         return
 

@@ -406,8 +406,6 @@ def verify_axiomatisations(
 
 
 def term_to_text(M: FiniteMonoid, term: Term) -> str:
-    if not term.word:
-        return term.var
     return "".join(f"{M.label(s)}·" for s in term.word) + term.var
 
 

@@ -182,30 +182,19 @@ def _decide(B: Act, cid: str, want: bool) -> ConditionReport:
         return ConditionReport(cid, "fails", _instance(B, cls, *failure))
     if not want:
         return ConditionReport(cid, "holds")
-    M, found = B.monoid, []
+    M, rows, found = B.monoid, B.table, []
     for (s, t), gen_pairs in _structures(cid, M).items():
+        # legs (u·c, v·c) -> the first (u, v, c) over the structure's sorted
+        # pairs: smallest c first, or smallest u first for a scaled class,
+        # whose pairs are all (u, u)
         pairs = sorted(generated_pair_subact(M, gen_pairs).pairs)
+        order = [(u, v, c) for c in B.carrier() for u, v in pairs]
+        first = {}
+        for u, v, c in sorted(order) if cls.scaled else order:
+            first.setdefault((rows[u][c], rows[v][c]), (u, v, c))
         for b, b2, legs in cls.instances(B, s, t):
-            hit = _interpolant(B, cls, pairs, legs)
-            found.append(_instance(B, cls, s, t, b, b2, hit))
+            found.append(_instance(B, cls, s, t, b, b2, first[legs]))
     return ConditionReport(cid, "holds", None, {"instances": found})
-
-
-def _interpolant(B: Act, cls, pairs, legs) -> tuple[int, int, int]:
-    """The first (u, v, c) with (u·c, v·c) = legs among the structure's
-    sorted pairs: smallest c first, or smallest u first for a scaled class,
-    whose pairs are all (u, u)."""
-    rows = B.table
-    b, b2 = legs
-    if cls.scaled:
-        u = next(u for u, _ in pairs if b in rows[u])
-        return u, u, rows[u].index(b)
-    return next(
-        (u, v, c)
-        for c in B.carrier()
-        for u, v in pairs
-        if rows[u][c] == b and rows[v][c] == b2
-    )
 
 
 def _instance(B: Act, cls, s, t, b, b2, interpolant=None) -> dict:
@@ -305,16 +294,17 @@ def check_wf(B: Act) -> ConditionReport:
     failure s·b = t·b2 splits s ⊗ b from t ⊗ b2 in (sS ∪ tS) ⊗ B.
     """
     _require_left(B)
+    M = B.monoid
     w = _pwf_witness(B)
     if w is not None:
-        gens, pair1, pair2 = [w["a"]], w["pair1"], w["pair2"]
+        gens, pair1, pair2 = [M.index(w["a"])], w["pair1"], w["pair2"]
     else:
-        w = _decide(B, "W", False).witness
-        if w is None:
+        failure = _interpolate(B, "W")
+        if failure is None:
             return ConditionReport("WF", "holds")
-        gens, pair1, pair2 = [w["s"], w["t"]], [w["s"], w["a"]], [w["t"], w["a2"]]
-    M = B.monoid
-    ideal = sorted(set().union(*(M.mul[M.index(g)] for g in gens)))
+        s, t, b, b2 = failure
+        gens, pair1, pair2 = [s, t], [M.label(s), B.label(b)], [M.label(t), B.label(b2)]
+    ideal = sorted(set().union(*(M.mul[g] for g in gens)))
     witness = {"ideal": [M.label(k) for k in ideal], "pair1": pair1, "pair2": pair2}
     return ConditionReport("WF", "fails", witness)
 

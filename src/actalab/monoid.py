@@ -77,10 +77,6 @@ class PairSubact:
     monoid: FiniteMonoid
     pairs: frozenset[tuple[int, int]]
 
-    def labels(self) -> tuple[tuple[str, str], ...]:
-        names = self.monoid.element_names
-        return tuple((names[u], names[v]) for u, v in sorted(self.pairs))
-
 
 def _check_tables(name, names, mul, identity):
     seen = set()
@@ -209,8 +205,6 @@ def min_generating_set(structure: Structure):
         orbit = {
             (u, v): frozenset((mul[u][s], mul[v][s]) for s in els) for u, v in items
         }
-    if not items:
-        return ()
 
     def maximal(x):
         ox = orbit[x]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import actalab as al
-from actalab.act import _automorphisms, morphism_is_valid
+from actalab.act import ActMorphism, _automorphisms, morphism_is_valid
 from actalab.errors import (
     CompatibilityError,
     EmptyCarrierError,
@@ -159,12 +159,21 @@ def test_congruence_is_least_fixed_point(zoo_monoids):
             )
 
 
-def test_quotient_discrete_is_isomorphic_copy(z2):
+def test_quotient_discrete_is_isomorphic_copy(z2, z3):
     act = al.regular_act(z2, "left")
     cong = al.congruence_closure(act, [])
     q, proj = quotient_act(act, cong)
     assert q.size == act.size
     assert morphism_is_valid(proj)
+    # the check refuses another side, another monoid, a mapping of the wrong
+    # length, and the constant map, which breaks the law: g moves its image
+    for bad in (
+        ActMorphism(al.regular_act(z2, "right"), q, proj.mapping),
+        ActMorphism(act, al.regular_act(z3, "left"), proj.mapping),
+        ActMorphism(act, q, proj.mapping[:1]),
+        ActMorphism(act, q, (0,) * act.size),
+    ):
+        assert not morphism_is_valid(bad)
 
 
 def test_quotient_total_is_point(natmin3):

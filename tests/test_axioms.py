@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import actalab as al
+from actalab import axioms
 from actalab.act import _law_violation
 from actalab.axioms import (
     Equation,
@@ -18,9 +20,11 @@ from actalab.axioms import (
     satisfies_all,
     sentence_to_text,
 )
+from actalab.cli import run_command
 from actalab.conditions import as_pairs
 from actalab.errors import SideMismatchError, ValidationError
 from actalab.monoid import min_generating_set
+from actalab.serialize import dump_json, monoid_to_dict
 
 
 def test_act_axioms_present_in_every_set(zoo_monoids):
@@ -216,6 +220,41 @@ def test_verify_axiomatisation_null2_pwp(null2):
     )
 
 
+def test_verify_reports_a_corrupted_schema(null2, tmp_path, monkeypatch, capsys):
+    """With one disjunct dropped from the first sentence that has two, the
+    sweep must find the regular act S: it is in (P), but the instance
+    s·u = t·v of the dropped generator (u, v) lies outside the orbits of the
+    other generators, so S no longer models the sentences."""
+    emit = axioms.emit_axioms
+
+    def corrupted(M, class_id):
+        ax = emit(M, class_id)
+        sentences = list(ax.sentences)
+        i = next(i for i, s in enumerate(sentences) if len(s.consequent) >= 2)
+        sentences[i] = replace(sentences[i], consequent=sentences[i].consequent[:-1])
+        return replace(ax, sentences=tuple(sentences))
+
+    monkeypatch.setattr(axioms, "emit_axioms", corrupted)
+    report = al.verify_axiomatisations(null2, ("P",), 4)[0]
+    assert not report.ok and report.acts_checked == 121
+    regular = [list(r) for r in al.regular_act(null2, "left").table]
+    assert {"act_table": regular, "condition": True, "models_sentences": False} in (
+        report.divergences
+    )
+    # the CLI exits 1 and reports the same count, as text and as JSON
+    mfile = tmp_path / "null2.json"
+    dump_json(monoid_to_dict(null2), mfile)
+    argv = ["axioms", "verify", "--class", "p", "--monoid", str(mfile), "--max-size", "4"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().out == (
+        f"class P over {null2.name}: 121 acts checked, "
+        f"{len(report.divergences)} divergences\n"
+    )
+    assert run_command(argv + ["--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["equivalent"] is False and data["divergences"] == report.divergences
+
+
 def test_ep_schema_scaled_instances_cover(natmin3):
     """Every diagonal interpolation instance is reachable from the witness
     set by scaling, the property the EP consequent relies on."""
@@ -242,6 +281,12 @@ def test_sentence_text_round_shape(z2):
     texts = [sentence_to_text(z2, s) for s in ax.sentences]
     assert any("∀" in t for t in texts)
     assert any("∃" in t and "→" in t for t in texts)
+    # an implication with no exists part, whose consequent reads bare variables
+    g = z2.index("g")
+    cancel = Sentence("cancel[g]", ("x", "y"), "implication",
+                      antecedent=(Equation(Term((g,), "x"), Term((g,), "y")),),
+                      consequent=((Equation(Term((), "x"), Term((), "y")),),))
+    assert sentence_to_text(z2, cancel) == "(∀x)(∀y)(g·x = g·y → x = y)"
 
 
 def _all_sentences(M):

@@ -107,6 +107,11 @@ def test_tossing_command(z2_file, z2_acts, capsys):
     assert capsys.readouterr().out == "(1,1) and (1,g) are not tensor-equal\n"
     assert run_command(argv + ["--json"]) == 1
     assert json.loads(capsys.readouterr().out) == {"connected": False}
+    # a pair without its comma is refused before any search
+    assert run_command(argv[:-4] + ["--from", "g", "--to", "1,g"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pair 'g' must be 'aLabel,bLabel'\n"
 
 
 def test_tensor_command(z2_file, z2_acts, capsys):
@@ -303,6 +308,16 @@ def test_zoo_build_and_report(tmp_path, capsys):
     ) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--range" in captured.err
+    assert run_command(
+        ["zoo", "report", "--family", "null_adjoined", "--range", "2-4"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --range must look like '2..4', got '2-4'\n"
+    assert run_command(["zoo", "build", "--family", "cyclic_group"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n is required for this family\n"
     assert run_command(["zoo", "families"]) == 0
     text = capsys.readouterr().out.splitlines()
     assert text == ["families:"] + [f"  {f}" for f in zoo.FAMILIES] + ["excluded:"] + [

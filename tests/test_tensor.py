@@ -144,6 +144,9 @@ def test_validate_rejects_corrupted_witness(z2):
         dataclasses.replace(toss, start=(-2, 1)),
         dataclasses.replace(toss, end=(1, 2)),
         dataclasses.replace(toss, skeleton=wrapped),
+        # a length-1 skeleton takes one b witness and no a witness
+        dataclasses.replace(toss, b_witnesses=()),
+        dataclasses.replace(toss, a_witnesses=(0,)),
     ):
         assert not al.validate_tossing(bad)
 

@@ -3,7 +3,14 @@ import pytest
 import actalab as al
 from actalab.errors import BadParamsError
 from actalab.monoid import generated_pair_subact
-from actalab.zoo import EXCLUSIONS, FAMILIES, designated_pair, family_report, family_size
+from actalab.zoo import (
+    EXCLUSIONS,
+    FAMILIES,
+    _monotonicity,
+    designated_pair,
+    family_report,
+    family_size,
+)
 from helpers import brute_min_generators
 
 
@@ -56,6 +63,8 @@ def test_bad_params():
         al.build("unknown_family", n=2)
     with pytest.raises(BadParamsError):
         al.build("semilattice_of_groups", n1=2)
+    with pytest.raises(BadParamsError, match="unknown family 'bogus'"):
+        designated_pair("bogus", al.build("cyclic_group", n=2))
 
 
 def _component_inverse(M, n1, x):
@@ -99,6 +108,9 @@ def test_null_adjoined_growth_matches_brute():
 
 
 def test_null_adjoined_designated_pair_fallback():
+    # with no x element the pair falls back to the zero
+    M1 = al.build("null_adjoined", n=1)
+    assert designated_pair("null_adjoined", M1) == (M1.index("0"),) * 2
     M2 = al.build("null_adjoined", n=2)
     assert designated_pair("null_adjoined", M2) == (1, 1)
     M3 = al.build("null_adjoined", n=3)
@@ -167,6 +179,16 @@ def test_family_report_semilattice_growth():
 def test_family_report_chain_constant():
     report = family_report("inverse_omega_chain", [2, 3, 4])
     assert report.monotonicity["R"] == "constant"
+    # below three elements the chain's pair is its last element twice
+    M = al.build("inverse_omega_chain", n=1)
+    assert designated_pair("inverse_omega_chain", M) == (1, 1)
+
+
+def test_monotonicity_names_each_shape():
+    assert _monotonicity([1, 2, 4]) == "strictly-increasing"
+    assert _monotonicity([3, 3, 3]) == "constant"
+    assert _monotonicity([1, 1, 2]) == "non-decreasing"
+    assert _monotonicity([2, 1, 2]) == "non-monotone"
 
 
 def test_exclusions_documented():
