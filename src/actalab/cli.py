@@ -101,9 +101,12 @@ def _guard_flat(n_s: int, n_b: int, m: int):
     """(|S|^2 + ... + |S|^(2m)) * (m+1) * |S|^2 * |B|^2, a conservative bound
     on the bounded flatness search: each skeleton is charged a merge of its
     quotient, (m+1)*|S| positions under |S| actions, over the pairs of B,
-    where it costs one composition and one lookup.  With |S| >= 2 the term
-    |S|^(2k) alone passes the cap once 4^k does, so later terms are not
-    computed and the diagnostic gives a lower bound."""
+    where it costs one composition and one lookup.  The search walks
+    distinct (subact state, relation) pairs, far fewer than the skeletons,
+    so the bound is loose; it is kept so that the exit codes of `check`
+    do not change.  With |S| >= 2 the term |S|^(2k) alone passes the cap
+    once 4^k does, so later terms are not computed and the diagnostic
+    gives a lower bound."""
     if n_s == 1:
         total, exact = m, True
     else:
@@ -187,17 +190,20 @@ def _cmd_tossing(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    cond = args.condition.lower()
+    if args.flat_bound is not None and cond != "flat":
+        raise ActalabError("check: --flat-bound applies only to --condition flat")
     M = _load_monoid(args.monoid)
     B = _load_act(args.act, M)
     _guard(M.size, B.size, B.size)
-    cond = args.condition.lower()
     if cond == "pwf":
         report = check_pwf(B)
     elif cond == "wf":
         report = check_wf(B)
     elif cond == "flat":
-        _guard_flat(M.size, B.size, args.flat_bound)
-        report = check_flat_bounded(B, args.flat_bound)
+        bound = 2 if args.flat_bound is None else args.flat_bound
+        _guard_flat(M.size, B.size, bound)
+        report = check_flat_bounded(B, bound)
     else:
         report = check_condition(B, cond, want_witnesses=args.witnesses)
     text = f"{report.condition}: {report.verdict}"
@@ -428,7 +434,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                        choices=[c.lower() for c in CONDITION_IDS] + ["pwf", "wf", "flat"])
         v.add_argument("--act", required=True)
         v.add_argument("--monoid", required=True)
-        v.add_argument("--flat-bound", type=int, default=2)
+        v.add_argument("--flat-bound", type=int)
         v.add_argument("--witnesses", action="store_true")
         add_json(v)
         v.set_defaults(func=_cmd_check)

@@ -4,9 +4,9 @@ the interpolation conditions (P), (E), (EP), (W), (PWP), strong flatness as
 refutation procedure for flatness itself.  Torsion-freeness needs no search:
 every act over a finite monoid is torsion-free.
 
-PWF, WF and the flatness search build no tensor product: they read the
-classes of U ⊗ B that `tensor.present` numbers on copies of B, one copy per
-generator of U (one for PWF's aS, two for a skeleton's [x]S ∪ [x']S), and
+PWF, WF and the flatness search build no tensor product: PWF reads the
+classes of aS ⊗ B that `tensor.present` numbers on one copy of B, the
+flatness search joins ([x]S ∪ [x']S) ⊗ B on two copies of B as bits, and
 WF is PWF together with (W).  Each interpolation class is decided from its
 entry in `INTERPOLATION_CLASSES`: every trigger instance, listed with its
 legs, must have the legs in the orbit of the structure's minimum generators.
@@ -33,7 +33,7 @@ from .monoid import (
     min_generating_set,
     r_set,
 )
-from .tensor import _gamma_relations, _relations, present, standard_subact
+from .tensor import _relations, present, subact_automaton
 
 CONDITION_IDS = ("TF", "P", "E", "EP", "W", "PWP", "SF")
 
@@ -183,15 +183,18 @@ def _decide(B: Act, cid: str, want: bool) -> ConditionReport:
     if not want:
         return ConditionReport(cid, "holds")
     M, rows, found = B.monoid, B.table, []
+    firsts = {}  # generator pairs -> their map, shared by the parameters
     for (s, t), gen_pairs in _structures(cid, M).items():
-        # legs (u·c, v·c) -> the first (u, v, c) over the structure's sorted
-        # pairs: smallest c first, or smallest u first for a scaled class,
-        # whose pairs are all (u, u)
-        pairs = sorted(generated_pair_subact(M, gen_pairs).pairs)
-        order = [(u, v, c) for c in B.carrier() for u, v in pairs]
-        first = {}
-        for u, v, c in sorted(order) if cls.scaled else order:
-            first.setdefault((rows[u][c], rows[v][c]), (u, v, c))
+        first = firsts.get(gen_pairs)
+        if first is None:
+            # legs (u·c, v·c) -> the first (u, v, c) over the structure's
+            # sorted pairs: smallest c first, or smallest u first for a
+            # scaled class, whose pairs are all (u, u)
+            pairs = sorted(generated_pair_subact(M, gen_pairs).pairs)
+            order = [(u, v, c) for c in B.carrier() for u, v in pairs]
+            first = firsts[gen_pairs] = {}
+            for u, v, c in sorted(order) if cls.scaled else order:
+                first.setdefault((rows[u][c], rows[v][c]), (u, v, c))
         for b, b2, legs in cls.instances(B, s, t):
             found.append(_instance(B, cls, s, t, b, b2, first[legs]))
     return ConditionReport(cid, "holds", None, {"instances": found})
@@ -244,9 +247,9 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: _check(B, c, False) for c in conds}
 
 
-def _pwf_witness(B: Act) -> dict | None:
-    """The PWF failure witness at the first a whose aS ⊗ B does not embed
-    in S ⊗ B, or None.
+def _pwf_witness(B: Act) -> tuple[int, dict] | None:
+    """The first a whose aS ⊗ B does not embed in S ⊗ B, with the PWF
+    failure witness there, or None.
 
     aS ≅ S/R(a,a), so aS ⊗ B is B modulo θ_a, the equivalence that the
     pairs (u·c, v·c) with (u, v) in R(a,a) generate: k ⊗ b is the θ_a-class
@@ -265,7 +268,7 @@ def _pwf_witness(B: Act) -> dict | None:
                 ci = class_of[urow[b]]
                 ci1, k1, b1 = seen.setdefault(rows[k][b], (ci, k, b))
                 if ci1 != ci:
-                    return {
+                    return a, {
                         "a": M.label(a), "b": B.label(rows[arow.index(k1)][b1]),
                         "b2": B.label(urow[b]),
                         "pair1": [M.label(k1), B.label(b1)],
@@ -282,8 +285,8 @@ def check_pwf(B: Act) -> ConditionReport:
     aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
     """
     _require_left(B)
-    witness = _pwf_witness(B)
-    return ConditionReport("PWF", "fails" if witness else "holds", witness)
+    failure = _pwf_witness(B)
+    return ConditionReport("PWF", "fails" if failure else "holds", failure and failure[1])
 
 
 def check_wf(B: Act) -> ConditionReport:
@@ -295,9 +298,10 @@ def check_wf(B: Act) -> ConditionReport:
     """
     _require_left(B)
     M = B.monoid
-    w = _pwf_witness(B)
-    if w is not None:
-        gens, pair1, pair2 = [M.index(w["a"])], w["pair1"], w["pair2"]
+    pwf = _pwf_witness(B)
+    if pwf is not None:
+        a, w = pwf
+        gens, pair1, pair2 = [a], w["pair1"], w["pair2"]
     else:
         failure = _interpolate(B, "W")
         if failure is None:
@@ -309,16 +313,101 @@ def check_wf(B: Act) -> ConditionReport:
     return ConditionReport("WF", "fails", witness)
 
 
-def _joined_pairs(B: Act, x_rows: tuple[int, ...]) -> int:
+def _joined(relations, edges: dict, rows, nb: int) -> int:
     """The pairs (b, b2) with x ⊗ b = x' ⊗ b2 in ([x]S ∪ [x']S) ⊗ B, bit
-    b*|B| + b2, for the subact presented by the table x_rows of x*u then
-    x'*u, u in S."""
-    nb = B.size
-    class_of, firsts = present(B.table, 2, _relations(x_rows, B.monoid.size))
-    b2_bits = [0] * len(firsts)  # bit b2 of a class: x' ⊗ b2 is in it
-    for b2 in range(nb):
-        b2_bits[class_of[nb + b2]] |= 1 << b2
-    return sum(b2_bits[class_of[b]] << b * nb for b in range(nb))
+    b*|B| + b2, for the subact presented by `relations`.
+
+    The tensor product is two copies of B, node i*|B| + c for x_i ⊗ c,
+    modulo (i, u*c) ~ (j, v*c).  A relation's |B| edges are kept in
+    `edges` as one int, bit p*2|B| + q for the edge p-q, so the adjacency
+    rows of a subact are an OR of ints and each component is grown by a
+    bit frontier from a node x ⊗ b not yet reached.
+    """
+    width = 2 * nb
+    adj = 0
+    for rel in relations:
+        bits = edges.get(rel)
+        if bits is None:
+            i, u, j, v = rel
+            bits = 0
+            for c, d in zip(rows[u], rows[v]):
+                p, q = i * nb + c, j * nb + d
+                bits |= 1 << p * width + q | 1 << q * width + p
+            edges[rel] = bits
+        adj |= bits
+    row_mask, low = (1 << width) - 1, (1 << nb) - 1
+    joined, unseen = 0, low
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            while frontier:
+                node = frontier & -frontier
+                reach |= adj >> (node.bit_length() - 1) * width & row_mask
+                frontier ^= node
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        xs, x2s = comp & low, comp >> nb
+        while xs:
+            b = xs & -xs
+            joined |= x2s << (b.bit_length() - 1) * nb
+            xs ^= b
+    return joined
+
+
+def _compose(rel: int, succ: list[int], nb: int) -> int:
+    """The relation rel followed by the step whose successor sets are succ,
+    bit b*|B| + b2 in each."""
+    low, out = (1 << nb) - 1, 0
+    for shift in range(0, nb * nb, nb):
+        reach, v = rel >> shift & low, 0
+        while reach:
+            if reach & 1:
+                out |= succ[v] << shift
+            reach >>= 1
+            v += 1
+    return out
+
+
+def _gamma_walk(B: Act, auto, m_max: int):
+    """Yield (m, state, rel, entries) for each distinct pair of a state of
+    `auto` and a gamma relation in B reached by a skeleton of length
+    m <= m_max, entries being the least such skeleton in `product` order.
+
+    Bit b*|B| + b2 of rel is set when (b, b2) is a gamma pair.  A step
+    (s, t) takes v to {t*x : s*x = v}, and the walk extends the pairs of
+    each level in the order they were reached by the steps in `product`
+    order, so the first skeleton that reaches a pair is its least, and the
+    pairs come in the order of their least skeletons.  A relation that is
+    empty is not extended; its extensions are empty too.
+    """
+    rows, n, nb = B.table, B.monoid.size, B.size
+    steps = []  # (s, t), its letter, successor sets, the compositions made with them
+    for s, srow in enumerate(rows):
+        for t, trow in enumerate(rows):
+            succ = [0] * nb
+            for v, w in zip(srow, trow):
+                succ[v] |= 1 << w
+            steps.append((s, t, s * n + t, succ, {}))
+    level = {(0, sum(1 << b * (nb + 1) for b in range(nb))): ()}
+    for m in range(1, m_max + 1):
+        reached: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (state, rel), entries in level.items():
+            row = auto.delta[state]
+            for s, t, letter, succ, made in steps:
+                nxt = made.get(rel)
+                if nxt is None:
+                    nxt = made[rel] = _compose(rel, succ, nb)
+                if not nxt:
+                    continue
+                state2 = row[letter]
+                if state2 is None:
+                    state2 = auto.step(state, s, t)
+                if (state2, nxt) not in reached:
+                    reached[state2, nxt] = skeleton = entries + (s, t)
+                    yield m, state2, nxt, skeleton
+        level = reached
 
 
 def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
@@ -326,10 +415,11 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
 
     For each skeleton the standard quotient connects ([x], b) to ([x'], b2)
     whenever the gamma chain holds in B; flatness forces the same equality
-    in ([x]S ∪ [x']S) ⊗ B.  The skeletons are tried in `product` order,
-    shortest first.  Their gamma relations are composed one step at a time
-    along shared prefixes, and ([x]S ∪ [x']S) ⊗ B is merged once per call
-    for each `standard_subact` table, so a skeleton costs a few lookups.
+    in ([x]S ∪ [x']S) ⊗ B.  A skeleton matters only through its state in
+    the monoid's `SubactAutomaton` and its gamma relation, so the search
+    reads each distinct pair once, from `_gamma_walk`, in the order of its
+    least skeleton; the first failing pair gives the least failing
+    skeleton.  ([x]S ∪ [x']S) ⊗ B is joined once per call for each state.
     The witness is the failing skeleton's least split pair (b, b2): the
     lowest bit b*|B| + b2 of its relation outside the joined pairs.  A
     failure here is a definitive non-flatness witness; exhausting the
@@ -338,24 +428,24 @@ def check_flat_bounded(B: Act, m_max: int = 2) -> ConditionReport:
     _require_left(B)
     if m_max < 1:
         raise ValidationError("flatness bound must be at least 1")
-    M = B.monoid
-    n, nb = M.size, B.size
-    # the joined pairs of each standard subact table, merged once per call
-    joined: dict[tuple[int, ...], int] = {}
-    # skip m = 1: [x]S ∪ [x']S is its whole quotient, which joins every gamma pair
-    for m in range(2, m_max + 1):
-        for entries, rel in _gamma_relations(B, m):
-            x_rows = standard_subact(M, entries)
-            same = joined.get(x_rows)
-            if same is None:
-                same = joined[x_rows] = _joined_pairs(B, x_rows)
-            split = rel & ~same
-            if split:
-                b, b2 = divmod((split & -split).bit_length() - 1, nb)
-                witness = {"skeleton": [M.label(e) for e in entries],
-                           "b": B.label(b), "b2": B.label(b2)}
-                return ConditionReport("FLAT", "fails", witness)
-    checked = sum(n ** (2 * m) for m in range(1, m_max + 1))
+    M, rows, nb = B.monoid, B.table, B.size
+    auto = subact_automaton(M)
+    edges: dict = {}  # a relation's edges in ([x]S ∪ [x']S) ⊗ B
+    joined: dict[int, int] = {}  # state -> its joined pairs
+    for m, state, rel, entries in _gamma_walk(B, auto, m_max):
+        # skip m = 1: [x]S ∪ [x']S is its whole quotient, which joins every gamma pair
+        if m == 1:
+            continue
+        same = joined.get(state)
+        if same is None:
+            same = joined[state] = _joined(auto.pairs[state], edges, rows, nb)
+        split = rel & ~same
+        if split:
+            b, b2 = divmod((split & -split).bit_length() - 1, nb)
+            witness = {"skeleton": [M.label(e) for e in entries],
+                       "b": B.label(b), "b2": B.label(b2)}
+            return ConditionReport("FLAT", "fails", witness)
+    checked = sum(M.size ** (2 * m) for m in range(1, m_max + 1))
     return ConditionReport(
         "FLAT", "passes-up-to-bound", None, {"m_max": m_max, "skeletons": checked}
     )

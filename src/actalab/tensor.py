@@ -384,53 +384,6 @@ def gamma_pairs(B: Act, sk: Skeleton) -> frozenset[tuple[int, int]]:
     return frozenset((b, b2) for b in set(tbl[e[0]]) for b2 in _walk(tbl, e, b)[1])
 
 
-def _gamma_relations(B: Act, m: int):
-    """(entries, rel) for every skeleton of length m whose gamma pairs in
-    the left act B are not empty, in `product` order: bit b*|B| + b2 of rel
-    is set when (b, b2) is a gamma pair.
-
-    Step (s, t) takes v to {t*x : s*x = v}, and a skeleton's relation is the
-    composite of its steps, so each prefix is composed once and shared by
-    every skeleton that extends it; a prefix that reaches nothing is not
-    extended.  Each step keeps the composites it has made, since few
-    distinct relations occur.
-    """
-    tbl, nb = B.table, B.size
-    low = (1 << nb) - 1
-    steps = []
-    for s, srow in enumerate(tbl):
-        for t, trow in enumerate(tbl):
-            succ = [0] * nb
-            for v, w in zip(srow, trow):
-                succ[v] |= 1 << w
-            steps.append(((s, t), succ, {}))
-
-    def compose(rel, succ):
-        out = 0
-        for shift in range(0, nb * nb, nb):
-            reach, v = rel >> shift & low, 0
-            while reach:
-                if reach & 1:
-                    out |= succ[v] << shift
-                reach >>= 1
-                v += 1
-        return out
-
-    def extend(prefix, rel, depth):
-        for step, succ, made in steps:
-            nxt = made.get(rel)
-            if nxt is None:
-                nxt = made[rel] = compose(rel, succ)
-            if not nxt:
-                continue
-            if depth == 1:
-                yield prefix + step, nxt
-            else:
-                yield from extend(prefix + step, nxt, depth - 1)
-
-    return extend((), sum(1 << b * (nb + 1) for b in range(nb)), m)
-
-
 def _standard_classes(M: FiniteMonoid, entries: tuple[int, ...]):
     """The classes of the standard quotient Q, as `present` numbers them, on
     positions i*|S| + u, each standing for x_(i+1)*u.  Q ⊗ S = Q, so Q is
@@ -470,6 +423,63 @@ def standard_subact(M: FiniteMonoid, entries: tuple[int, ...]) -> tuple[int, ...
     by its generators [x] and [x'], as _relations reads it."""
     class_of, n, first = _standard_classes(M, entries)[0], M.size, {}
     return tuple(first.setdefault(c, len(first)) for c in class_of[:n] + class_of[-n:])
+
+
+class SubactAutomaton:
+    """The `standard_subact` tables of one monoid as the states of a finite
+    automaton whose letters are the steps (s, t).
+
+    Appending (s, t) to a skeleton adds a copy x'' of S and merges
+    x'*(s*u) ~ x''*(t*u) for every u.  Each merge it makes among old
+    classes runs through positions of x'*S, so the classes of x*u then
+    x''*u, the next state, depend on the state's table alone.  State 0 is
+    the empty skeleton's, x' = x.  `pairs[state]` holds the relations
+    (i, u, j, v) that `_relations` reads off the table, and
+    `delta[state][s*|S| + t]` is filled on first use.
+    """
+
+    def __init__(self, M: FiniteMonoid):
+        self.monoid = M
+        self.tables: list[tuple[int, ...]] = []
+        self.pairs: list[tuple[tuple[int, int, int, int], ...]] = []
+        self.delta: list[list[int | None]] = []
+        self._state_of: dict[tuple[int, ...], int] = {}
+        self._add(tuple(range(M.size)) * 2)
+
+    def _add(self, table: tuple[int, ...]) -> int:
+        state = self._state_of.get(table)
+        if state is None:
+            n = self.monoid.size
+            state = self._state_of[table] = len(self.tables)
+            self.tables.append(table)
+            self.pairs.append(tuple(_relations(table, n)))
+            self.delta.append([None] * (n * n))
+        return state
+
+    def step(self, state: int, s: int, t: int) -> int:
+        """The state reached from `state` by the step (s, t): x''*u starts
+        as the new class k + u, then x'*(s*u) ~ x''*(t*u) are merged."""
+        mul, n = self.monoid.mul, self.monoid.size
+        row = self.delta[state]
+        if row[s * n + t] is None:
+            table = self.tables[state]
+            k = max(table) + 1
+            parent = list(range(k + n))
+            for su, tu in zip(mul[s], mul[t]):
+                ra, rb = find_root(parent, table[n + su]), find_root(parent, k + tu)
+                parent[max(ra, rb)] = min(ra, rb)
+            first: dict[int, int] = {}
+            row[s * n + t] = self._add(tuple(
+                first.setdefault(find_root(parent, c), len(first))
+                for c in table[:n] + tuple(range(k, k + n))
+            ))
+        return row[s * n + t]
+
+
+@lru_cache(maxsize=8)
+def subact_automaton(M: FiniteMonoid) -> SubactAutomaton:
+    """The standard-subact automaton of a recent monoid, grown by its users."""
+    return SubactAutomaton(M)
 
 
 def induced_morphism(

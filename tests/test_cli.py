@@ -89,6 +89,32 @@ def test_check_condition_exit_codes(z2_file, z2_acts, null2_pwp_failure, capsys)
         assert capsys.readouterr().out.startswith(f"{report.condition}: fails\n  witness: ")
 
 
+def test_flat_bound_only_with_flat(z2_file, z2_acts, null2_pwp_failure, capsys):
+    """--flat-bound with any condition but flat is refused before a file is
+    read, and flat without it searches to length 2."""
+    null_file, act_file, bad_act = null2_pwp_failure
+    base = ["--act", act_file, "--monoid", null_file]
+    for cond in ("pwf", "wf", "p", "tf", "sf"):
+        for bound in ("3", "2"):
+            argv = ["check", "--condition", cond, "--flat-bound", bound] + base
+            assert run_command(argv) == 2
+            assert capsys.readouterr() == (
+                "", "error: check: --flat-bound applies only to --condition flat\n")
+    argv = ["check", "--condition", "pwf", "--flat-bound", "3", "--act", "missing.json",
+            "--monoid", "missing.json"]
+    assert run_command(argv) == 2
+    assert "--flat-bound applies only" in capsys.readouterr().err
+    flat = ["check", "--condition", "flat", "--json"] + base
+    code = run_command(flat)
+    out = capsys.readouterr().out
+    assert code == 1 and json.loads(out) == al.check_flat_bounded(bad_act, 2).to_dict()
+    assert run_command(flat + ["--flat-bound", "2"]) == code
+    assert capsys.readouterr().out == out
+    argv = ["check", "--condition", "flat", "--act", z2_acts[0], "--monoid", z2_file, "--json"]
+    assert run_command(argv) == 0
+    assert json.loads(capsys.readouterr().out)["details"] == {"m_max": 2, "skeletons": 20}
+
+
 def test_tossing_command(z2_file, z2_acts, capsys):
     left, right = z2_acts
     code = run_command(

@@ -331,17 +331,22 @@ def test_flat_bounded_matches_tensor_oracle(zoo_monoids, left_zero, null2):
     assert sum(not al.check_flat_bounded(B, 2).holds for B in size4) == 76
 
 
-def test_flat_bound_three_keeps_every_standard_subact(natmin3):
-    """The 256 + 4096 skeletons of length 2 and 3 over natmin3 (4 elements)
-    all fit standard_subact's cache, so a sweep of acts at m=3 merges each
-    standard quotient once; length 1 cannot refute and is skipped."""
-    from actalab.tensor import standard_subact
+def test_flat_bound_three_walks_natmin3_automaton(natmin3):
+    """The standard subacts of the skeletons of length <= 3 over natmin3
+    are 84 states of its automaton.  A sweep of its left acts of size <= 2
+    at m=3 reaches all of them, and a second sweep adds no state and no
+    transition: each act reads the transitions the first sweep filled."""
+    from actalab.tensor import subact_automaton
 
-    assert natmin3.size == 4
-    standard_subact.cache_clear()
-    for B in al.enumerate_acts(natmin3, "left", 2):
-        al.check_flat_bounded(B, 3)
-    assert standard_subact.cache_info().misses == 4352
+    subact_automaton.cache_clear()
+    acts = list(al.enumerate_acts(natmin3, "left", 2))
+    auto = subact_automaton(natmin3)
+    for _ in range(2):
+        for B in acts:
+            al.check_flat_bounded(B, 3)
+        # the 62 states of skeletons of length <= 2 each took all 16 steps
+        assert len(auto.tables) == 84
+        assert sum(state is not None for row in auto.delta for state in row) == 62 * 16
 
 
 def test_flat_bounded_failure_witness_revalidates(null2):

@@ -5,6 +5,7 @@ import pytest
 
 import actalab as al
 from actalab.act import morphism_is_valid
+from actalab.conditions import _gamma_walk
 from actalab.errors import (
     ElementNotFoundError,
     MonoidMismatchError,
@@ -15,10 +16,10 @@ from actalab.errors import (
 from actalab.tensor import (
     Skeleton,
     Tossing,
-    _gamma_relations,
     _tossing_index,
     gamma_pairs,
     standard_subact,
+    subact_automaton,
 )
 from helpers import (
     find_tossing_oracle,
@@ -232,22 +233,33 @@ def test_gamma_pairs_matches_eval(small_cases):
 
 
 def test_composed_gamma_relations_match_gamma_pairs(natmin3):
-    """The prefix-composed relations of the flatness search against a fresh
-    gamma_pairs walk for every skeleton of length 2 and 3 over natmin3: at
-    length 2 on every left act of size <= 3, at length 3 on one act of each
-    isomorphism class of size <= 3 (a walk per skeleton of every labelled
-    act would take seconds).  A skeleton the composition skips has no pairs."""
+    """The pairs of the flatness walk against a fresh gamma_pairs walk and
+    standard_subact for every skeleton of length <= 2 on every left act of
+    natmin3 of size <= 3, and of length <= 3 on one act of each isomorphism
+    class of size <= 3 (a walk per skeleton of every labelled act would
+    take seconds).  At each length the walk keeps exactly the pairs of a
+    standard subact and a nonempty gamma relation that some skeleton
+    reaches, each with the least skeleton that reaches it, in the order
+    of those skeletons."""
     acts = list(al.enumerate_acts(natmin3, "left", 3))
     classes = list(al.enumerate_acts(natmin3, "left", 3, distinct=True))
     assert len(acts) == 72 and len(classes) == 18
-    for m, group in ((2, acts), (3, classes)):
+    auto = subact_automaton(natmin3)
+    for m_max, group in ((2, acts), (3, classes)):
         for B in group:
             nb = B.size
-            rels = dict(_gamma_relations(B, m))
-            for entries in product(range(natmin3.size), repeat=2 * m):
-                pairs = gamma_pairs(B, Skeleton(entries))
-                assert rels.get(entries, 0) == sum(1 << b * nb + b2 for b, b2 in pairs)
-            assert list(rels) == sorted(rels)
+            kept = {m: {} for m in range(1, m_max + 1)}
+            for m, state, rel, entries in _gamma_walk(B, auto, m_max):
+                kept[m][auto.tables[state], rel] = entries
+            for m, pairs in kept.items():
+                first = {}
+                for entries in product(range(natmin3.size), repeat=2 * m):
+                    gp = gamma_pairs(B, Skeleton(entries))
+                    rel = sum(1 << b * nb + b2 for b, b2 in gp)
+                    if rel:
+                        first.setdefault((standard_subact(natmin3, entries), rel), entries)
+                assert pairs == first
+                assert list(pairs.values()) == sorted(pairs.values())
 
 
 def test_oracle_equivalence_small(null2, natmin3):
@@ -359,22 +371,41 @@ def _split(labels):
     return [labels.index(v) for v in labels]
 
 
-def test_standard_quotient_matches_free_act_oracle(zoo_monoids, left_zero, z2, null2):
+def test_standard_quotient_matches_free_act_oracle(zoo_monoids, left_zero, z2, null2, natmin3):
     """The merged standard quotient against the free act's congruence
     quotient, on every skeleton of length <= 2 over the zoo and left_zero
-    and of length 3 over z2 and null2: the same act (table and carrier
-    names) and marks, and standard_subact's classes split the positions
-    x*u, x'*u as the restricted [x]S ∪ [x']S does."""
-    cases = [(M, (1, 2)) for M in zoo_monoids + [left_zero]] + [(z2, (3,)), (null2, (3,))]
+    and of length 3 over z2, null2 and natmin3: the same act (table and
+    carrier names) and marks; standard_subact's classes, and the table of
+    the automaton state that the skeleton's steps reach, split the
+    positions x*u, x'*u as the restricted [x]S ∪ [x']S does; and the
+    state's pairs chain each later position of a class to the first.  Two
+    identity steps come back to the start state x' = x, whose pairs chain
+    x'*u to x*u."""
+    cases = [(M, (1, 2)) for M in zoo_monoids + [left_zero]]
+    cases += [(M, (3,)) for M in (z2, null2, natmin3)]
     for M, lengths in cases:
+        n, e = M.size, M.identity
+        auto = subact_automaton(M)
         for m in lengths:
-            for entries in product(range(M.size), repeat=2 * m):
+            for entries in product(range(n), repeat=2 * m):
                 Q, marks = al.standard_tossing_act(M, Skeleton(entries))
                 assert (Q, marks) == standard_quotient_oracle(M, entries), entries
                 U, x, xp = standard_subact_oracle(M, entries)
                 generated = [U.table[u][g] for g in (x, xp) for u in M.elements()]
                 classes = list(standard_subact(M, entries))
                 assert _split(classes) == _split(generated), (M.name, entries)
+                state = 0
+                for s, t in zip(entries[::2], entries[1::2]):
+                    state = auto.step(state, s, t)
+                assert list(auto.tables[state]) == classes, (M.name, entries)
+                chained = tuple(
+                    divmod(p, n) + divmod(first, n)
+                    for p, first in enumerate(_split(classes)) if first != p
+                )
+                assert auto.pairs[state] == chained
+        assert auto.tables[0] == tuple(range(n)) * 2
+        assert auto.step(auto.step(0, e, e), e, e) == 0
+        assert auto.pairs[0] == tuple((1, u, 0, u) for u in range(n))
 
 
 def test_induced_morphism_identity(z2):

@@ -14,8 +14,9 @@ command would exit 1 with a traceback.
 
 The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
-skeleton bounds 1 and 3 and once on a null_adjoined(2) act whose failing
-skeleton splits two pairs, so that the witness rule shows, `tensor`,
+skeleton bounds 1 and 3, at bound 4 over three small natmin3 acts, and
+once on a null_adjoined(2) act whose failing skeleton splits two pairs, so
+that the witness rule shows, a bound with another condition, `tensor`,
 `tossing`, `axioms emit|modelcheck|verify` (verify per class and with
 --class all, and per class at carrier size 4 over natmin3 and
 semilattice22), `replace compute|verify`,
@@ -223,6 +224,15 @@ def malformed(z2):
     flat = ["check", "--condition", "flat", "--act", point, "--monoid", nfile]
     run(flat + ["--flat-bound", "2"], env={"ACTALAB_MAX_CELLS": "200"})
     run(flat + ["--flat-bound", "1"], env={"ACTALAB_MAX_CELLS": "200"})
+    # skeletons of length 4, 69 904 of them, on the point and two acts of size 2
+    pairs = [B for B in enumerate_acts(natmin, "left", 2) if B.size == 2]
+    for i, B in enumerate(every(pairs, 2)):
+        act = write(f"natmin3_pair{i}.json", act_to_dict(B))
+        run(["check", "--condition", "flat", "--act", act, "--monoid", nfile,
+             "--flat-bound", "4", "--json"])
+    run(flat + ["--flat-bound", "4"])
+    # a bound is refused with any other condition
+    run(["check", "--condition", "pwf", "--act", point, "--monoid", nfile, "--flat-bound", "3"])
     run(["enumerate", "--monoid", mfile, "--side", "left", "--max-size", "9"])
     run(["tensor", "--monoid", mfile, "--right-act", afile, "--left-act", afile])
     # |S|^3 = 64 and 125 for the associativity check, 2^4 + 3^4 + 4^4 = 353
