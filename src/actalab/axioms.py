@@ -8,22 +8,26 @@ term is a word of elements folded onto a variable, so "s(t(x))" is the word
 equation, an inequation, or an implication from a conjunction of equations
 into an existentially quantified disjunction of conjunctions of equations.
 
-Each sentence is compiled once, on first use, into a plan (`_Plan`) of row
-vectors: on a table, a term's values at every carrier element are one
-composition of the rows of its word.  `model_check` and `satisfies_all`
-evaluate plans; `model_check_table`, which walks the terms once per
-assignment, is kept as their oracle.  A plan reads only the rows of its
-letters, so `satisfies_all` keeps its recent verdicts under the carrier
-size and those rows: acts that share them, in whatever order they come,
-share the verdict, and every class's set shares one tuple of act laws.
+A plan (`_Plan`) evaluates a sentence by row vectors: on a table, a term's
+values at every carrier element are one composition of the rows of its
+word.  Plans are compiled per sentence shape, the sentence with no name and
+its monoid letters renamed 0, 1, ... in order of first use, so P[s,t] and
+P[s',t'], or two act laws, share a plan whenever they differ only in their
+letters; each sentence keeps its shape's plan and the letters its slots
+stand for.  `model_check` and `satisfies_all` evaluate plans;
+`model_check_table`, which walks the terms once per assignment, is kept as
+their oracle.  A plan reads only the rows of its slots, so `satisfies_all`
+keeps its recent verdicts under the shape's plan, the carrier size and those
+rows in slot order: sentences of one shape, on acts that share those rows,
+in whatever order they come, share the verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product, repeat
-from operator import itemgetter, ne
+from operator import ne
 from typing import Iterator
 
 from .act import Act, enumerate_acts
@@ -64,8 +68,25 @@ class Sentence:
     consequent: tuple[tuple[Equation, ...], ...] = ()
 
     @cached_property
-    def _plan(self) -> _Plan:
-        return _Plan(self)
+    def _plan(self) -> tuple[_Plan, tuple[int, ...]]:
+        """The plan of the sentence's shape and the letter each slot stands for."""
+        slots: dict[int, int] = {}
+
+        def term(t: Term) -> Term:
+            return Term(tuple(slots.setdefault(s, len(slots)) for s in t.word), t.var)
+
+        def equations(eqs) -> tuple[Equation, ...]:
+            return tuple(Equation(term(e.lhs), term(e.rhs)) for e in eqs)
+
+        body = self.equation and equations((self.equation,))[0]
+        antecedent = equations(self.antecedent)
+        consequent = tuple(map(equations, self.consequent))
+        shape = replace(self, name="", equation=body, antecedent=antecedent,
+                        consequent=consequent)
+        try:
+            return _shape_plan(shape), tuple(slots)
+        except ValidationError as exc:
+            raise ValidationError(f"sentence {self.name!r} {exc}") from None
 
 
 @dataclass
@@ -196,10 +217,11 @@ def model_check_table(
 
 
 class _RowVectors(dict):
-    """The row vectors of a table over a carrier of size k, keyed by word and
-    built on demand from `rows`, which maps each letter to its row: entry x of
-    a word's vector is the value of its term at carrier element x.  Rows may
-    be lists or tuples; vectors are always tuples, a tuple row is its own."""
+    """The row vectors of a table over a carrier of size k, keyed by a word
+    over slots and built on demand from `rows`, the row of each slot in slot
+    order: entry x of a word's vector is the value of its term at carrier
+    element x.  Rows may be lists or tuples; vectors are always tuples, a
+    tuple row is its own."""
 
     def __init__(self, rows, k: int):
         self.rows, self.k = rows, k
@@ -220,7 +242,10 @@ def _assignments(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def _values(vecs: _RowVectors, terms, assignments: list) -> Iterator[tuple]:
     """The tuple of the terms' values at each assignment."""
-    cols = [map(vecs[w].__getitem__, map(itemgetter(i), assignments)) for i, w in terms]
+    cols = []
+    for i, w in terms:
+        vec = vecs[w]
+        cols.append([vec[a[i]] for a in assignments])
     return zip(*cols) if cols else repeat((), len(assignments))
 
 
@@ -233,53 +258,45 @@ def _satisfying(vecs: _RowVectors, equations, assignments: list) -> list:
 
 
 class _Plan:
-    """A sentence compiled for evaluation on any table.
+    """A sentence shape compiled for evaluation on any table.
 
-    An equation is the implication from nothing to it, and an inequation the
-    implication from it to nothing.  A term becomes (position, word): the
-    forall variables take positions 0..n-1 of a trigger assignment in
-    quantifier order, the exists variables positions 0..m-1 of an exists
-    assignment.  Each equation of a consequent disjunct is a test on the
-    trigger (forall against forall), a key term with the exists-side term
-    it must meet (forall against exists), or a filter on the exists
-    assignments (exists against exists).  Disjuncts with the same tests and
-    key terms form a group.  On a table a group's reach is the set of
-    tuples its exists-side terms take at the exists assignments that pass
-    their filter, and a trigger satisfies the group when it meets the tests
-    and its key tuple is in the reach.
+    A term becomes (position, word): the forall variables take positions
+    0..n-1 of a trigger assignment in quantifier order, the exists variables
+    positions 0..m-1 of an exists assignment.  An equation or inequation is
+    checked on its two whole row vectors, and scanned for its first failure
+    only when it fails.  In an implication, each equation of a consequent
+    disjunct is a test on the trigger (forall against forall), a key term
+    with the exists-side term it must meet (forall against exists), or a
+    filter on the exists assignments (exists against exists).  Disjuncts
+    with the same tests and key terms form a group.  On a table a group's
+    reach is the set of tuples its exists-side terms take at the exists
+    assignments that pass their filter, and a trigger satisfies the group
+    when it meets the tests and its key tuple is in the reach.
     """
 
     def __init__(self, sentence: Sentence):
         names = sentence.forall + sentence.exists
         if len(set(names)) != len(names):
-            raise ValidationError(f"sentence {sentence.name!r} binds a variable twice")
-        self.n = len(sentence.forall)
-        ante, exists, cons = sentence.antecedent, sentence.exists, sentence.consequent
-        negated = sentence.kind == "inequation"
-        if sentence.kind != "implication":
-            body = sentence.equation
-            ante, exists, cons = ((body,), (), ()) if negated else ((), (), ((body,),))
-        self.m = len(exists)
+            raise ValidationError("binds a variable twice")
+        self.n, self.m = len(sentence.forall), len(sentence.exists)
         forall_pos = {v: i for i, v in enumerate(sentence.forall)}
-        letters = set()  # the monoid elements whose rows the words read
 
         def term(t: Term, scope: dict) -> tuple[int, tuple[int, ...]]:
             if t.var not in scope:
-                raise ValidationError(
-                    f"sentence {sentence.name!r} uses the unbound variable {t.var!r}"
-                )
-            letters.update(t.word)
+                raise ValidationError(f"uses the unbound variable {t.var!r}")
             return (scope[t.var], t.word)
 
         def equation(e: Equation):
             return (term(e.lhs, forall_pos), term(e.rhs, forall_pos))
 
-        self.antecedent = tuple(map(equation, ante))
-        # an equation or inequation is first tried on whole row vectors
-        self.whole = None if sentence.kind == "implication" else (negated, equation(body))
-        exists_pos = {v: i for i, v in enumerate(exists)}
+        if sentence.kind != "implication":
+            self.whole = (sentence.kind == "inequation", equation(sentence.equation))
+            return
+        self.whole = None
+        self.antecedent = tuple(map(equation, sentence.antecedent))
+        exists_pos = {v: i for i, v in enumerate(sentence.exists)}
         self.groups: dict[tuple, list] = {}
-        for conj in cons:
+        for conj in sentence.consequent:
             tests, key, eterms, filt = [], [], [], []
             for e in conj:
                 f = [term(t, forall_pos) for t in (e.lhs, e.rhs) if t.var in forall_pos]
@@ -290,20 +307,23 @@ class _Plan:
                 else:
                     (filt if z else tests).append(tuple(f or z))
             self.groups.setdefault((tuple(tests), tuple(key)), []).append((filt, eterms))
-        self.letters = tuple(sorted(letters))
 
-    def _holds_everywhere(self, vecs: _RowVectors) -> bool:
+    def _whole_failure(self, vecs: _RowVectors) -> tuple[int, ...] | None:
         negated, ((i, wl), (j, wr)) = self.whole
         L, R = vecs[wl], vecs[wr]
         if negated:
-            return all(map(ne, L, R)) if i == j else set(L).isdisjoint(R)
-        return L == R if i == j else len(set(L).union(R)) <= 1
+            holds = all(map(ne, L, R)) if i == j else set(L).isdisjoint(R)
+        else:
+            holds = L == R if i == j else len(set(L).union(R)) <= 1
+        if holds:
+            return None
+        return next(a for a in _assignments(vecs.k, self.n) if (L[a[i]] == R[a[j]]) == negated)
 
     def first_failure(self, vecs: _RowVectors) -> tuple[int, ...] | None:
         """The first forall assignment, in product order, at which the
         sentence fails on the table of `vecs`; None when it holds."""
-        if self.whole is not None and self._holds_everywhere(vecs):
-            return None
+        if self.whole is not None:
+            return self._whole_failure(vecs)
         pending = _satisfying(vecs, self.antecedent, _assignments(vecs.k, self.n))
         if not pending:
             return None
@@ -311,7 +331,11 @@ class _Plan:
         for (tests, key), disjuncts in self.groups.items():
             reach = set()
             for filt, eterms in disjuncts:
-                reach.update(_values(vecs, eterms, _satisfying(vecs, filt, zss)))
+                if eterms and not filt and self.m == 1:
+                    # over one exists variable the terms' values are their vectors
+                    reach.update(zip(*[vecs[w] for _, w in eterms]))
+                else:
+                    reach.update(_values(vecs, eterms, _satisfying(vecs, filt, zss)))
             met = _satisfying(vecs, tests, pending)
             missed = [a for a, values in zip(met, _values(vecs, key, met)) if values not in reach]
             # the triggers that fail the tests stay pending too, in product order
@@ -319,10 +343,17 @@ class _Plan:
         return pending[0] if pending else None
 
 
+@lru_cache(maxsize=256)
+def _shape_plan(shape: Sentence) -> _Plan:
+    return _Plan(shape)
+
+
 def check_table(table, sentence: Sentence) -> tuple[bool, dict | None]:
     """Evaluate a sentence's plan on a raw action table (valid act or not);
     the same answer and counterexample as `model_check_table`."""
-    a = sentence._plan.first_failure(_RowVectors(table, len(table[0]) if table else 0))
+    plan, letters = sentence._plan
+    rows = [table[s] for s in letters]
+    a = plan.first_failure(_RowVectors(rows, len(table[0]) if table else 0))
     if a is None:
         return (True, None)
     return (False, dict(zip(sentence.forall, a)))
@@ -342,19 +373,26 @@ def model_check(B: Act, sentence: Sentence) -> tuple[bool, dict | None]:
     return (ok, env)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _holds(plan: _Plan, k: int, rows: tuple) -> bool:
-    """Whether the plan's sentence holds on every table over a carrier of
-    size k whose rows at `plan.letters` are `rows`: they fix every vector."""
-    return plan.first_failure(_RowVectors(dict(zip(plan.letters, rows)), k)) is None
+    """Whether the plan's shape holds on every table over a carrier of size k
+    whose rows at its slots are `rows`, in slot order: they fix every vector."""
+    return plan.first_failure(_RowVectors(rows, k)) is None
 
 
 def satisfies_all(B: Act, sentences) -> bool:
-    """Whether B satisfies every sentence.  A plan's verdict is kept under the
-    carrier size and the rows it reads, so acts that share those rows share it."""
+    """Whether B satisfies every sentence of a sequence.  A verdict is kept
+    under the shape's plan, the carrier size and the rows of the sentence's
+    letters, so sentences of one shape on acts that share those rows share
+    it.  The sentences are checked last first: an emitted set puts the act
+    laws, which every act satisfies, before the class's sentences."""
     _require_left(B)
     k, row = B.size, B.table.__getitem__
-    return all(_holds(p, k, tuple(map(row, p.letters))) for p in (s._plan for s in sentences))
+    for s in reversed(sentences):
+        plan, letters = s._plan
+        if not _holds(plan, k, tuple(map(row, letters))):
+            return False
+    return True
 
 
 @dataclass

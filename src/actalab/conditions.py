@@ -247,9 +247,11 @@ def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]
     return {c: _check(B, c, False) for c in conds}
 
 
-def _pwf_witness(B: Act) -> tuple[int, dict] | None:
-    """The first a whose aS ⊗ B does not embed in S ⊗ B, with the PWF
-    failure witness there, or None.
+@lru_cache(maxsize=16)
+def _pwf_failure(B: Act) -> tuple[int, int, int, int, int] | None:
+    """For a recent act, the first a whose aS ⊗ B does not embed in S ⊗ B,
+    with the first two pairs (k1, b1), (k, b) of aS × B whose classes meet
+    there, as (a, k1, b1, k, b); None when B is principally weakly flat.
 
     aS ≅ S/R(a,a), so aS ⊗ B is B modulo θ_a, the equivalence that the
     pairs (u·c, v·c) with (u, v) in R(a,a) generate: k ⊗ b is the θ_a-class
@@ -268,12 +270,7 @@ def _pwf_witness(B: Act) -> tuple[int, dict] | None:
                 ci = class_of[urow[b]]
                 ci1, k1, b1 = seen.setdefault(rows[k][b], (ci, k, b))
                 if ci1 != ci:
-                    return a, {
-                        "a": M.label(a), "b": B.label(rows[arow.index(k1)][b1]),
-                        "b2": B.label(urow[b]),
-                        "pair1": [M.label(k1), B.label(b1)],
-                        "pair2": [M.label(k), B.label(b)],
-                    }
+                    return a, k1, b1, k, b
     return None
 
 
@@ -285,31 +282,42 @@ def check_pwf(B: Act) -> ConditionReport:
     aS ⊗ B, pulled back through the elementary step (a*u, b) ~ (a, u*b).
     """
     _require_left(B)
-    failure = _pwf_witness(B)
-    return ConditionReport("PWF", "fails" if failure else "holds", failure and failure[1])
+    failure = _pwf_failure(B)
+    if failure is None:
+        return ConditionReport("PWF", "holds")
+    M, rows = B.monoid, B.table
+    a, k1, b1, k, b = failure
+    arow = M.mul[a]
+    return ConditionReport("PWF", "fails", {
+        "a": M.label(a), "b": B.label(rows[arow.index(k1)][b1]),
+        "b2": B.label(rows[arow.index(k)][b]),
+        "pair1": [M.label(k1), B.label(b1)],
+        "pair2": [M.label(k), B.label(b)],
+    })
 
 
 def check_wf(B: Act) -> ConditionReport:
     """Weak flatness: K ⊗ B embeds in S ⊗ B for every right ideal K, which
     holds exactly when B is principally weakly flat and satisfies (W).
 
-    A PWF failure at a is reported on the ideal aS; otherwise the first (W)
-    failure s·b = t·b2 splits s ⊗ b from t ⊗ b2 in (sS ∪ tS) ⊗ B.
+    A PWF failure at a is reported on the ideal aS, split at PWF's pairs;
+    otherwise the first (W) failure s·b = t·b2 splits s ⊗ b from t ⊗ b2 in
+    (sS ∪ tS) ⊗ B.
     """
     _require_left(B)
     M = B.monoid
-    pwf = _pwf_witness(B)
+    pwf = _pwf_failure(B)
     if pwf is not None:
-        a, w = pwf
-        gens, pair1, pair2 = [a], w["pair1"], w["pair2"]
+        gens, (s, b, t, b2) = [pwf[0]], pwf[1:]
     else:
         failure = _interpolate(B, "W")
         if failure is None:
             return ConditionReport("WF", "holds")
         s, t, b, b2 = failure
-        gens, pair1, pair2 = [s, t], [M.label(s), B.label(b)], [M.label(t), B.label(b2)]
+        gens = [s, t]
     ideal = sorted(set().union(*(M.mul[g] for g in gens)))
-    witness = {"ideal": [M.label(k) for k in ideal], "pair1": pair1, "pair2": pair2}
+    witness = {"ideal": [M.label(k) for k in ideal],
+               "pair1": [M.label(s), B.label(b)], "pair2": [M.label(t), B.label(b2)]}
     return ConditionReport("WF", "fails", witness)
 
 

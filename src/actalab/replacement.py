@@ -16,6 +16,7 @@ the list whose gamma chain joins it, which always exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .act import Act
 from .conditions import INTERPOLATION_CLASSES, _structure, check_condition
@@ -41,11 +42,12 @@ def _class_id(class_id: str) -> str:
     return cid
 
 
+@lru_cache(maxsize=128)
 def replacement_skeletons(
     M: FiniteMonoid, s: int, t: int, class_id: str
 ) -> ReplacementSet:
     """The finite replacement list for one parameter pair; empty exactly when
-    the underlying structure is empty."""
+    the underlying structure is empty.  Recent lists are kept: each is frozen."""
     cid = _class_id(class_id)
     cls = INTERPOLATION_CLASSES[cid]
     for x in (s, t):

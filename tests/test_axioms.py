@@ -40,12 +40,13 @@ def test_act_axioms_present_in_every_set(zoo_monoids):
 
 
 def test_shared_verdicts_stay_with_their_table(null2, left_zero):
-    """`satisfies_all` keeps each plan's verdict under the carrier size and
-    the rows the plan reads.  Over more interleaved acts than the memo
-    holds, over tables of sizes 1 and 2 (law-breaking ones too) against the
-    act laws and a sentence that reads no row, and over one table that is
-    an act of two monoids whose sentences carry the same names, every
-    answer is the one a fresh evaluation of each sentence gives."""
+    """`satisfies_all` keeps each verdict under the shape's plan, the carrier
+    size and the rows the plan reads.  Over interleaved acts whose verdicts
+    overflow the memo, over tables of sizes 1 and 2 (law-breaking ones too)
+    against the act laws and a sentence that reads no row, and over one
+    table that is an act of two monoids whose sentences carry the same
+    names, every answer is the one a fresh evaluation of each sentence
+    gives."""
     classes = ("P", "E", "EP", "W", "PWP")
 
     def check(run, sets):
@@ -67,7 +68,6 @@ def test_shared_verdicts_stay_with_their_table(null2, left_zero):
 
     iow2 = al.build("inverse_omega_chain", n=2)
     acts = list(al.enumerate_acts(iow2, "left", 4))
-    assert len(acts) > _holds.cache_info().maxsize
     _holds.cache_clear()
     answers = check([B for pair in zip(acts, reversed(acts)) for B in pair], class_sets)
     memo = _holds.cache_info()  # the memo was both hit and evicted from
@@ -92,6 +92,55 @@ def test_shared_verdicts_stay_with_their_table(null2, left_zero):
     assert points[0].table == points[1].table
     answers = check(points * 3, class_sets)
     assert {("z3", "P", True), (left_zero.name, "P", False)} <= answers
+
+
+def _relabel(sent, letters):
+    """The sentence with each monoid letter of its words replaced through
+    the map `letters`."""
+    def term(t):
+        return Term(tuple(letters[u] for u in t.word), t.var)
+
+    def eqs(conj):
+        return tuple(Equation(term(e.lhs), term(e.rhs)) for e in conj)
+
+    return replace(sent, equation=sent.equation and eqs((sent.equation,))[0],
+                   antecedent=eqs(sent.antecedent), consequent=tuple(map(eqs, sent.consequent)))
+
+
+def _terms(sent):
+    eqs = [sent.equation] if sent.equation else []
+    eqs += [*sent.antecedent, *(e for conj in sent.consequent for e in conj)]
+    return [t for e in eqs for t in (e.lhs, e.rhs)]
+
+
+def test_sentences_of_one_shape_share_a_plan(natmin3):
+    """P[s,t] over natmin3's parameters, and the assoc laws: two sentences
+    share one plan object exactly when one is the other with its letters
+    renamed slot by slot, and each keeps its own letters, one per slot.
+    On every act of size <=3, `satisfies_all` gives what a fresh
+    `check_table` of each sentence gives, for each set and each sentence."""
+    M = natmin3
+    p_set = tuple(s for s in al.emit_axioms(M, "P").sentences if s.name.startswith("P["))
+    assoc = tuple(s for s in act_axioms(M) if s.name.startswith("assoc["))
+    assert len(p_set) == M.size ** 2 and len(assoc) == M.size ** 2
+    for group in (p_set, assoc):
+        plans = set()
+        for a in group:
+            plan, letters = a._plan
+            plans.add(plan)
+            assert len(set(letters)) == len(letters)
+            assert sorted({u for t in _terms(a) for u in t.word}) == sorted(letters)
+            for b in group:
+                other, others = b._plan
+                renamed = len(letters) == len(others) and _relabel(
+                    a, dict(zip(letters, others))) == replace(b, name=a.name)
+                assert (plan is other) == renamed, (a.name, b.name)
+        assert len(plans) < len(group)  # some sentences do share
+    _holds.cache_clear()
+    for B in al.enumerate_acts(M, "left", 3):
+        for sentences in (p_set, assoc, *((s,) for s in p_set + assoc)):
+            fresh = all(check_table(B.table, s)[0] for s in sentences)
+            assert satisfies_all(B, sentences) == fresh, (B.table, sentences[0].name)
 
 
 def test_pwp_schema_z2(z2):
@@ -414,9 +463,13 @@ def test_plan_rejects_unbound_and_twice_bound_variables(z2):
                        Equation(Term((1,), "x"), Term((), "y")))
     twice = Sentence("twice", ("x",), "implication", antecedent=(),
                      exists=("x",), consequent=())
-    for sent in (unbound, twice):
-        with pytest.raises(ValidationError):
-            al.model_check(B, sent)
+    messages = ("uses the unbound variable 'y'", "binds a variable twice")
+    for sent, message in zip((unbound, twice), messages):
+        # a sentence of the same shape under another name is refused by its own name
+        for named in (sent, replace(sent, name="other")):
+            with pytest.raises(ValidationError) as info:
+                al.model_check(B, named)
+            assert str(info.value) == f"sentence {named.name!r} {message}"
 
 
 def test_plan_composes_long_words(z3):

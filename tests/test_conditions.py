@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import actalab as al
 from actalab.axioms import satisfies_all
-from actalab.conditions import INTERPOLATION_CLASSES
+from actalab.conditions import INTERPOLATION_CLASSES, _pwf_failure
 from actalab.errors import UnknownConditionError, ValidationError
 from actalab.monoid import left_cancellable_elements
 from conftest import build_zoo
@@ -260,6 +260,25 @@ def test_pwf_wf_match_tensor_oracle(zoo_monoids, left_zero):
                 failures["W only" if pwf.holds else "PWF"] += 1
                 assert wf_witness_is_genuine(B, wf.witness), (B.table, wf)
     assert all(failures.values()), failures
+
+
+def test_pwf_decided_once_and_reported_afresh(null2, natmin3):
+    """`check_pwf` and `check_wf` on one act decide PWF once between them.
+    Each report builds its own witness, so no two reports share a dict, and
+    a WF failure at PWF splits PWF's pairs."""
+    _pwf_failure.cache_clear()
+    acts = [B for M in (null2, natmin3) for B in al.enumerate_acts(M, "left", 3)]
+    failures = 0
+    for B in acts:
+        first, second, wf = al.check_pwf(B), al.check_pwf(B), al.check_wf(B)
+        assert first == second
+        if not first.holds:
+            failures += 1
+            assert first.witness is not second.witness
+            assert first.witness["pair1"] is not second.witness["pair1"]
+            assert (wf.witness["pair1"], wf.witness["pair2"]) == (
+                first.witness["pair1"], first.witness["pair2"])
+    assert failures and _pwf_failure.cache_info().misses == len(acts)
 
 
 def test_pwf_failure_witness_is_genuine(null2, natmin3):
