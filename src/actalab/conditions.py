@@ -130,17 +130,21 @@ def as_pairs(items) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _structure(cid: str, M: FiniteMonoid, s: int, t: int) -> tuple[tuple[int, int], ...]:
+def _structure(
+    structure: Callable, M: FiniteMonoid, s: int, t: int
+) -> tuple[tuple[int, int], ...]:
     """One parameter's entry of the class table: the minimum generators of
-    its structure as pairs, from which the rest of it is generated."""
-    return as_pairs(min_generating_set(INTERPOLATION_CLASSES[cid].structure(M, s, t)))
+    its structure as pairs, from which the rest of it is generated.  Keyed
+    by the structure, so (P), (EP) and (PWP) share their R(s,t) entries."""
+    return as_pairs(min_generating_set(structure(M, s, t)))
 
 
 @lru_cache(maxsize=64)
 def _structures(cid: str, M: FiniteMonoid) -> dict:
-    """The class table (s, t) -> `_structure(cid, M, s, t)` in parameter order,
+    """The class table (s, t) -> its `_structure` entry in parameter order,
     read by deciders and schemas; kept for the most recent monoids."""
-    return {(s, t): _structure(cid, M, s, t) for s, t in INTERPOLATION_CLASSES[cid].params(M)}
+    cls = INTERPOLATION_CLASSES[cid]
+    return {(s, t): _structure(cls.structure, M, s, t) for s, t in cls.params(M)}
 
 
 @lru_cache(maxsize=64)
@@ -214,37 +218,32 @@ def _instance(B: Act, cls, s, t, b, b2, interpolant=None) -> dict:
     return out
 
 
-def _check(B: Act, cond: str, want: bool) -> ConditionReport:
+def check_condition(B: Act, cond: str, want_witnesses: bool = False) -> ConditionReport:
     """One condition of a left act: TF, which every act over a finite monoid
-    satisfies, SF as (P) and then (E), or a class."""
+    satisfies, SF as (P) and then (E), or a class, checked exhaustively
+    over B's carrier and S."""
+    _require_left(B)
     cond = cond.upper()
     if cond == "TF":
         # a left-cancellable element of a finite monoid is a unit, whose row is injective
         return ConditionReport("TF", "holds")
     if cond in INTERPOLATION_CLASSES:
-        return _decide(B, cond, want)
+        return _decide(B, cond, want_witnesses)
     if cond != "SF":
         raise UnknownConditionError(cond)
     details = {}
     for cid in ("P", "E"):
-        part = _decide(B, cid, want)
+        part = _decide(B, cid, want_witnesses)
         if not part.holds:
             return ConditionReport("SF", "fails", part.witness)
         details[cid] = part.details
-    return ConditionReport("SF", "holds", None, details if want else None)
-
-
-def check_condition(B: Act, cond: str, want_witnesses: bool = False) -> ConditionReport:
-    """One condition of a left act: TF holds on every act, and the others are
-    checked exhaustively over B's carrier and S."""
-    _require_left(B)
-    return _check(B, cond, want_witnesses)
+    return ConditionReport("SF", "holds", None, details if want_witnesses else None)
 
 
 def condition_profile(B: Act, conds=CONDITION_IDS) -> dict[str, ConditionReport]:
     """All requested condition verdicts of one act."""
     _require_left(B)
-    return {c: _check(B, c, False) for c in conds}
+    return {c: check_condition(B, c) for c in conds}
 
 
 @lru_cache(maxsize=16)

@@ -185,41 +185,35 @@ Structure = Union[RightIdeal, PairSubact]
 
 
 def min_generating_set(structure: Structure):
-    """Minimum-cardinality generating set of a right-closed structure.
+    """Minimum-cardinality generating set of a right-closed structure: the
+    first item, in index order (lexicographic for pairs), of each maximal
+    class of the generation preorder x <= y iff x in yS.
 
-    Works on the generation preorder x <= y iff x in yS.  The orbit yS is
-    already transitively closed, so a set generates iff its orbits cover
-    everything, and any generating set must meet every maximal mutual-
-    generation class.  One representative per maximal class, chosen with
-    the lowest index (lexicographic for pairs), is therefore a true
-    minimum.  The empty structure yields the empty tuple.
+    The orbit yS is transitively closed, so a set generates iff its orbits
+    cover everything, and any generating set must meet every maximal
+    class; one item per maximal class is therefore a true minimum.  One
+    pass finds them: take the items by decreasing orbit size, ties in item
+    order, and keep each item not yet covered by a kept item's orbit.
+    Suppose x is still uncovered when its turn comes.  Any y whose orbit
+    holds x has an orbit at least as large; had y come earlier, y or the
+    kept item covering y would cover x.  So every such y comes later, with
+    an orbit of the same size that contains x's, hence equal to it: y is in
+    x's class and after it in item order.  So x is maximal and the first of
+    its class.  Conversely the first x of a maximal class is covered only
+    by a member of its class, and none comes before it.  The kept items,
+    in item order, are returned; the empty structure yields ().
     """
-    M = structure.monoid
-    mul = M.mul
-    els = range(M.size)
+    mul = structure.monoid.mul
     if isinstance(structure, RightIdeal):
-        items = sorted(structure.members)
-        orbit = {u: frozenset(mul[u][s] for s in els) for u in items}
+        orbit = {u: set(mul[u]) for u in sorted(structure.members)}
     else:
-        items = sorted(structure.pairs)
-        orbit = {
-            (u, v): frozenset((mul[u][s], mul[v][s]) for s in els) for u, v in items
-        }
-
-    def maximal(x):
-        ox = orbit[x]
-        return all(x not in orbit[y] or y in ox for y in items)
-
-    chosen = []
-    covered = set()
-    for x in items:
-        if x in covered or not maximal(x):
-            continue
-        chosen.append(x)
-        covered.update(orbit[x])
-    # every element of a finite preorder sits below some maximal class
-    assert covered == set(items), "maximal classes failed to cover the structure"
-    return tuple(chosen)
+        orbit = {(u, v): set(zip(mul[u], mul[v])) for u, v in sorted(structure.pairs)}
+    chosen, covered = [], set()
+    for x in sorted(orbit, key=lambda x: -len(orbit[x])):
+        if x not in covered:
+            chosen.append(x)
+            covered |= orbit[x]
+    return tuple(sorted(chosen))
 
 
 def generated_pair_subact(

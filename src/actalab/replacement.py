@@ -56,7 +56,7 @@ def replacement_skeletons(
     if cls.diagonal and s != t:
         raise BadParamsError(f"the {cid} trigger needs s = t")
     e = M.identity
-    gen_pairs = _structure(cid, M, s, t)
+    gen_pairs = _structure(cls.structure, M, s, t)
     sks = tuple(
         Skeleton((e, s, u, v, t, e) if cls.scaled else (u, v)) for u, v in gen_pairs
     )
@@ -112,7 +112,7 @@ def _replace_instances(B: Act, rset: ReplacementSet) -> list[dict]:
     decider has put every instance's legs in the union of these orbits."""
     M, rows = B.monoid, B.table
     cls = INTERPOLATION_CLASSES[rset.class_id]
-    gen_pairs = _structure(rset.class_id, M, rset.s, rset.t)
+    gen_pairs = _structure(cls.structure, M, rset.s, rset.t)
     orbits = [set(zip(rows[u], rows[v])) for u, v in gen_pairs]
     labels = [sk.labels(M) for sk in rset.skeletons]
     return [

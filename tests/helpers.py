@@ -192,6 +192,41 @@ def brute_min_generators(structure):
     raise AssertionError("structure cannot cover itself")
 
 
+def maximal_class_generators(structure):
+    """The first item of each maximal class of the generation preorder,
+    found by testing every item against every other for maximality: the
+    scan that `min_generating_set`'s one greedy pass replaces."""
+    items, orbits = _items_and_orbits(structure)
+
+    def maximal(x):
+        return all(x not in orbits[y] or y in orbits[x] for y in items)
+
+    chosen, covered = [], set()
+    for x in items:
+        if x not in covered and maximal(x):
+            chosen.append(x)
+            covered |= orbits[x]
+    assert covered == set(items), "maximal classes failed to cover the structure"
+    return tuple(chosen)
+
+
+def monoids_of_order(n: int) -> list[FiniteMonoid]:
+    """Every associative table on 0..n-1 with 0 as the identity, by trying
+    each filling of the entries off the identity's row and column."""
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    out = []
+    for values in product(range(n), repeat=len(cells)):
+        mul = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+        for (i, j), v in zip(cells, values):
+            mul[i][j] = v
+        if all(mul[mul[i][j]][k] == mul[i][mul[j][k]]
+               for i in range(n) for j in range(n) for k in range(n)):
+            names = [str(i) for i in range(n)]
+            out.append(FiniteMonoid(f"table{len(out)}", tuple(names),
+                                    tuple(map(tuple, mul)), 0))
+    return out
+
+
 def generates(structure, gens) -> bool:
     items, orbits = _items_and_orbits(structure)
     covered = set()
@@ -615,13 +650,6 @@ def is_pair_closed(M, pairs) -> bool:
     return all(
         (M.mul[u][s], M.mul[v][s]) in pairs for u, v in pairs for s in M.elements()
     )
-
-
-def generated_right_ideal(M, generators) -> RightIdeal:
-    members = set()
-    for g in generators:
-        members.update(M.mul[g][s] for s in M.elements())
-    return RightIdeal(M, frozenset(members))
 
 
 def all_right_ideals(M) -> list[frozenset[int]]:

@@ -14,10 +14,11 @@ from actalab.monoid import generated_pair_subact, left_cancellable_elements
 from conftest import build_zoo
 from helpers import (
     brute_min_generators,
-    generated_right_ideal,
     generates,
     is_pair_closed,
     is_right_closed,
+    maximal_class_generators,
+    monoids_of_order,
 )
 
 
@@ -163,18 +164,24 @@ def test_min_generating_nat_min_single(natmin3):
 
 
 def test_min_generating_regenerates_and_is_minimal(zoo_monoids):
-    for M in zoo_monoids:
+    """The generators of R(s,t), r(s,t) and sS ∩ tS regenerate the
+    structure, none can be dropped, and they are exactly the maximality
+    scan's, over the zoo, two larger zoo members and every monoid table of
+    order <= 3 with the identity first."""
+    tables = [M for n in (1, 2, 3) for M in monoids_of_order(n)]
+    assert len(tables) == 14
+    extra = [al.build("null_adjoined", n=6), al.build("nat_min_adjoined", n=5)]
+    for M in list(zoo_monoids) + extra + tables:
         for s in M.elements():
             for t in M.elements():
                 R = al.R_set(M, s, t)
-                gens = al.min_generating_set(R)
-                assert generated_pair_subact(M, gens).pairs == R.pairs
-                for drop in range(len(gens)):
-                    kept = gens[:drop] + gens[drop + 1 :]
-                    assert not generates(R, kept)
-                r = al.r_set(M, s, t)
-                rgens = al.min_generating_set(r)
-                assert generated_right_ideal(M, rgens).members == r.members
+                assert generated_pair_subact(M, al.min_generating_set(R)).pairs == R.pairs
+                for S in (R, al.r_set(M, s, t), al.ideal_intersection(M, s, t)):
+                    gens = al.min_generating_set(S)
+                    assert gens == maximal_class_generators(S)
+                    assert generates(S, gens)
+                    for drop in range(len(gens)):
+                        assert not generates(S, gens[:drop] + gens[drop + 1 :])
 
 
 def test_min_generating_empty_structure(z2):

@@ -183,3 +183,15 @@ def test_one_pair_builds_only_its_structure():
     rset = al.replacement_skeletons(M, 1, 2, "P")
     assert _structures.cache_info().currsize == 0
     assert rset.generators == min_generating_set(al.R_set(M, 1, 2))
+
+
+def test_classes_share_their_structure_entries(natmin3):
+    """The class table keeps one entry per structure and parameter: (P) and
+    (EP) read the same R(s,t) entries, and (PWP) its diagonal."""
+    _structures.cache_clear()
+    _structure.cache_clear()
+    for cid in ("P", "EP", "PWP"):
+        _structures(cid, natmin3)
+    assert _structure.cache_info().currsize == 16
+    for t in natmin3.elements():
+        assert _structures("PWP", natmin3)[t, t] is _structures("P", natmin3)[t, t]

@@ -16,7 +16,8 @@ The corpus covers the zoo monoids with a few of their small acts: every
 `check` condition with and without --witnesses --json, flatness at
 skeleton bounds 1 and 3, at bound 4 over three small natmin3 acts, and
 once on a null_adjoined(2) act whose failing skeleton splits two pairs, so
-that the witness rule shows, a bound with another condition, `tensor`,
+that the witness rule shows, a bound with another condition, WF and PWF
+on a null_adjoined(3) act that is PWF but fails (W), `tensor`,
 `tossing`, `axioms emit|modelcheck|verify` (verify per class and with
 --class all, and per class at carrier size 4 over natmin3 and
 semilattice22), `replace compute|verify`,
@@ -25,7 +26,11 @@ monoid and act files, and the budget guards, `zoo build` and `zoo report`
 among them.  `enumerate` also runs over
 null_adjoined(3), whose zero is labelled after x1 and x2, so that a row's
 square lands on a later row, and `replace compute` runs once over
-null_adjoined(16), one pair of a large monoid.  Usage runs cover the
+null_adjoined(16), one pair of a large monoid.  `axioms emit` runs for
+every class over null_adjoined(6), nat_min_adjoined(5) and
+semilattice_of_groups(3,2), and `zoo report` over null_adjoined(2..24):
+their maximal generation classes are large, so these runs pin which
+generators are chosen.  Usage runs cover the
 top-level help and errors (no arguments, -h, an unknown verb), every verb
 with -h, each verb with actions named without one, a missing required
 option, an invalid choice and an unrecognized trailing argument.  The input files are written
@@ -164,6 +169,33 @@ def flat_witness(null2):
          "--flat-bound", "2", "--json"])
 
 
+def w_failure(null3):
+    """An act of null_adjoined(3) that is PWF but fails (W), so that WF
+    fails on (W)'s instance: ideal [x1, x2, 0], pairs [x1, a2] and
+    [x2, a2]."""
+    rows = [[0, 1, 2], [0, 0, 1], [0, 0, 1], [0, 0, 0]]  # eps, x1, x2, 0
+    B = validate_act(zoo.build("null_adjoined", n=3), "left", ["a0", "a1", "a2"], rows)
+    act = write("null3_w.json", act_to_dict(B))
+    base = ["check", "--act", act, "--monoid", null3, "--condition"]
+    run(base + ["wf"])
+    run(base + ["wf", "--json"])
+    run(base + ["pwf"])
+
+
+def larger_class_tables():
+    """Every class's sentences over three larger monoids, whose maximal
+    generation classes are large, so that the generators' choice shows."""
+    for name, family, params in (
+        ("null6", "null_adjoined", {"n": 6}),
+        ("natmin5", "nat_min_adjoined", {"n": 5}),
+        ("semilattice32", "semilattice_of_groups", {"n1": 3, "n0": 2}),
+    ):
+        mfile = write(f"{name}.json", monoid_to_dict(zoo.build(family, **params)))
+        for cls in CLASSES:
+            run(["axioms", "emit", "--class", cls, "--monoid", mfile])
+    run(["zoo", "report", "--family", "null_adjoined", "--range", "2..24"])
+
+
 def enumerate_runs(mfile, side):
     for size in ("2", "3", "4"):
         base = ["enumerate", "--monoid", mfile, "--side", side, "--max-size", size]
@@ -258,6 +290,7 @@ def main():
             null3 = write("null3.json", monoid_to_dict(zoo.build("null_adjoined", n=3)))
             for side in ("left", "right"):
                 enumerate_runs(null3, side)
+            w_failure(null3)
             # one pair of a 17-element monoid, whose class table is large
             null16 = write("null16.json", monoid_to_dict(zoo.build("null_adjoined", n=16)))
             run(["replace", "compute", "--class", "p", "--monoid", null16,
@@ -269,6 +302,7 @@ def main():
             run(["zoo", "families", "--json"])
             run(["zoo", "report", "--family", "null_adjoined", "--range", "2..4", "--json"])
             run(["zoo", "build", "--family", "semilattice_of_groups", "--g1", "2", "--g0", "3"])
+            larger_class_tables()
             malformed(monoids[1])
             usage("m1.json")
         finally:
